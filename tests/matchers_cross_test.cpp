@@ -7,11 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <iterator>
 #include <memory>
+#include <string_view>
+#include <vector>
 
+#include "core/fnv.hpp"
 #include "gen/dataset_gen.hpp"
 #include "gen/query_gen.hpp"
+#include "gen/rng.hpp"
 #include "graphql/graphql.hpp"
+#include "match/candidate_index.hpp"
 #include "quicksi/quicksi.hpp"
 #include "rewrite/rewrite.hpp"
 #include "spath/spath.hpp"
@@ -218,6 +227,200 @@ TEST(EnginesHonourCap, MaxEmbeddings) {
     EXPECT_EQ(r.embedding_count, 7u) << m->name();
     EXPECT_TRUE(r.complete) << m->name();
   }
+}
+
+// Golden counters: absolute embedding counts, stream hashes and summed
+// MatchStats per matcher x index on/off x multiway on/off. Every other
+// counter check in the suite is relative (one configuration against
+// another), so a change that moves a counter the same way everywhere —
+// e.g. bumping candidates_tried before instead of after an injectivity
+// check — passes all of them; this one does not. The index is built with
+// explicit options and SIMD is pinned scalar, so the values depend on no
+// environment knob and no CPU feature. The graphs carry cycles (triangle
+// closure), hubs of degree >= 64 and, in two of three, edge labels, so the
+// multiway, bitset and shortcut counters are all exercised.
+struct GoldenRow {
+  const char* matcher;
+  bool index;
+  bool multiway;
+  uint64_t embeddings;
+  uint64_t stream_hash;
+  uint64_t stats[8];  // MatchStats fields in declaration order
+};
+
+constexpr GoldenRow kGolden[] = {
+    {"VF2", false, false, 122323, 0x40cc92811f8f1ba7ull,
+     {46337, 1165031, 0, 0, 0, 0, 0, 0}},
+    {"VF2", false, true, 122323, 0x40cc92811f8f1ba7ull,
+     {46337, 1165031, 0, 0, 0, 0, 0, 0}},
+    {"VF2", true, false, 122323, 0xfac8b9c07ef0d13dull,
+     {42486, 247810, 6894, 156484, 267469, 0, 0, 0}},
+    {"VF2", true, true, 122323, 0xfac8b9c07ef0d13dull,
+     {42486, 218242, 3650, 121964, 267469, 20717, 0, 5135}},
+    {"QSI", false, false, 122323, 0x297ad7cdd450b3ceull,
+     {18850, 690037, 0, 0, 0, 0, 0, 0}},
+    {"QSI", false, true, 122323, 0x297ad7cdd450b3ceull,
+     {18850, 690037, 0, 0, 0, 0, 0, 0}},
+    {"QSI", true, false, 122323, 0x060680c081a6e862ull,
+     {18803, 278318, 5211, 29182, 283137, 0, 0, 0}},
+    {"QSI", true, true, 122323, 0x060680c081a6e862ull,
+     {18803, 191678, 447, 47269, 221954, 8272, 0, 1622}},
+    {"GQL", false, false, 122323, 0xcbf1118549aafd4bull,
+     {17699, 534153, 0, 0, 0, 0, 0, 0}},
+    {"GQL", false, true, 122323, 0xcbf1118549aafd4bull,
+     {17699, 534153, 0, 0, 0, 0, 0, 0}},
+    {"GQL", true, false, 122323, 0x12cc2ae86ddf2a30ull,
+     {17861, 219201, 1122, 135726, 219057, 0, 0, 0}},
+    {"GQL", true, true, 122323, 0x12cc2ae86ddf2a30ull,
+     {17861, 188979, 1122, 130845, 219057, 8283, 0, 1623}},
+    {"SPA", false, false, 122323, 0x6622e334c54ef89dull,
+     {59026, 898176, 0, 0, 0, 0, 0, 0}},
+    {"SPA", false, true, 122323, 0x6622e334c54ef89dull,
+     {59026, 898176, 0, 0, 0, 0, 0, 0}},
+    {"SPA", true, false, 122323, 0x39b8237bb45edeb0ull,
+     {59252, 345600, 1122, 155492, 334664, 0, 0, 0}},
+    {"SPA", true, true, 122323, 0x39b8237bb45edeb0ull,
+     {59252, 240786, 1122, 104551, 334664, 45197, 0, 17117}},
+};
+
+TEST(EnginesGoldenCounters, AbsoluteCountersArePinned) {
+  struct Spec {
+    uint64_t seed;
+    uint32_t edge_labels;
+  };
+  std::vector<Graph> graphs;
+  for (const Spec s : {Spec{31, 0}, Spec{32, 2}, Spec{33, 3}}) {
+    gen::LargeGraphOptions o;
+    o.num_vertices = 260;
+    o.num_edges = 1300;
+    o.num_labels = 4;
+    o.label_zipf_s = 0.8;
+    o.degree_pareto_alpha = 1.9;
+    o.triangle_fraction = 0.4;
+    o.num_edge_labels = s.edge_labels;
+    o.seed = s.seed;
+    graphs.push_back(gen::LargeGraph(o));
+  }
+  // Per graph: five induced subgraphs of 4..6 vertices grown from seeded
+  // start vertices. Triangle closure makes most of them cyclic — only a
+  // cycle gives a connected matching order two matched backward
+  // neighbours — and hub neighbourhoods make some of them dense.
+  std::vector<std::vector<Graph>> queries(graphs.size());
+  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+    const Graph& g = graphs[gi];
+    Rng rng(500 + gi);
+    for (uint32_t k : {4u, 4u, 5u, 5u, 6u}) {
+      std::vector<VertexId> picked;
+      while (picked.size() < k) {
+        if (picked.empty()) {
+          picked.push_back(static_cast<VertexId>(
+              rng.UniformInt(0, g.num_vertices() - 1)));
+        }
+        std::vector<VertexId> frontier;
+        for (VertexId u : picked) {
+          for (VertexId w : g.neighbors(u)) {
+            if (std::find(picked.begin(), picked.end(), w) == picked.end()) {
+              frontier.push_back(w);
+            }
+          }
+        }
+        std::sort(frontier.begin(), frontier.end());
+        frontier.erase(std::unique(frontier.begin(), frontier.end()),
+                       frontier.end());
+        if (frontier.empty()) {  // component exhausted: start over
+          picked.clear();
+          continue;
+        }
+        picked.push_back(frontier[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(frontier.size()) - 1))]);
+      }
+      GraphBuilder b(k);
+      for (VertexId v : picked) b.AddVertex(g.label(v));
+      for (VertexId i = 0; i < k; ++i) {
+        for (VertexId j = i + 1; j < k; ++j) {
+          if (g.HasEdge(picked[i], picked[j])) {
+            b.AddEdge(i, j, g.EdgeLabel(picked[i], picked[j]));
+          }
+        }
+      }
+      auto q = b.Build("induced");
+      ASSERT_TRUE(q.ok());
+      queries[gi].push_back(std::move(q).value());
+    }
+  }
+  CandidateIndexOptions io;
+  io.bitset_degree_threshold = 64;
+  io.bitset_memory_budget_bytes = 64 << 20;
+
+  std::vector<GoldenRow> got;
+  for (const char* name : {"VF2", "QSI", "GQL", "SPA"}) {
+    for (bool index : {false, true}) {
+      for (bool multiway : {false, true}) {
+        GoldenRow row{name, index, multiway, 0, kFnv1aOffset, {}};
+        MatchStats sum;
+        for (size_t gi = 0; gi < graphs.size(); ++gi) {
+          const Graph& g = graphs[gi];
+          std::unique_ptr<Matcher> m;
+          const std::string_view n = name;
+          if (n == "VF2") m = std::make_unique<Vf2Matcher>();
+          if (n == "QSI") m = std::make_unique<QuickSiMatcher>();
+          if (n == "GQL") m = std::make_unique<GraphQlMatcher>();
+          if (n == "SPA") m = std::make_unique<SPathMatcher>();
+          m->set_candidate_index(index ? CandidateIndex::Build(g, io)
+                                       : nullptr);
+          ASSERT_TRUE(m->Prepare(g).ok());
+          for (const Graph& query : queries[gi]) {
+            MatchOptions mo;
+            mo.max_embeddings = 20000;
+            mo.multiway = multiway ? 1 : 0;
+            mo.simd = 0;
+            mo.sink = [&](const Embedding& e) {
+              Fnv1aMix(e.size(), &row.stream_hash);
+              for (VertexId v : e) Fnv1aMix(v, &row.stream_hash);
+              return true;
+            };
+            const MatchResult r = m->Match(query, mo);
+            ASSERT_TRUE(r.complete) << name;
+            row.embeddings += r.embedding_count;
+            sum.Add(r.stats);
+          }
+        }
+        row.stats[0] = sum.recursion_nodes;
+        row.stats[1] = sum.candidates_tried;
+        row.stats[2] = sum.nlf_rejects;
+        row.stats[3] = sum.bitset_edge_checks;
+        row.stats[4] = sum.slice_candidates;
+        row.stats[5] = sum.multiway_intersections;
+        row.stats[6] = sum.simd_galloped;
+        row.stats[7] = sum.intersection_shortcuts;
+        got.push_back(row);
+      }
+    }
+  }
+
+  // On any mismatch, print the measured table in initializer form.
+  bool same = std::size(kGolden) == got.size();
+  for (size_t i = 0; same && i < got.size(); ++i) {
+    const GoldenRow& a = got[i];
+    const GoldenRow& b = kGolden[i];
+    same = std::string_view(a.matcher) == b.matcher && a.index == b.index &&
+           a.multiway == b.multiway && a.embeddings == b.embeddings &&
+           a.stream_hash == b.stream_hash &&
+           std::equal(std::begin(a.stats), std::end(a.stats),
+                      std::begin(b.stats));
+  }
+  if (!same) {
+    for (const GoldenRow& r : got) {
+      std::printf("    {\"%s\", %s, %s, %" PRIu64 ", 0x%016" PRIx64 "ull,\n"
+                  "     {",
+                  r.matcher, r.index ? "true" : "false",
+                  r.multiway ? "true" : "false", r.embeddings, r.stream_hash);
+      for (int k = 0; k < 8; ++k) {
+        std::printf("%" PRIu64 "%s", r.stats[k], k < 7 ? ", " : "}},\n");
+      }
+    }
+  }
+  EXPECT_TRUE(same) << "golden counters moved (measured table above)";
 }
 
 // No-match cases complete quickly and report zero.
