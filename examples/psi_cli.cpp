@@ -42,7 +42,6 @@
 #include "rewrite/rewrite_cache.hpp"
 #include "workload/runner.hpp"
 #include "spath/spath.hpp"
-#include "ullmann/ullmann.hpp"
 #include "vf2/vf2.hpp"
 
 namespace {
@@ -175,8 +174,6 @@ int RunNfv(int argc, char** argv) {
       engine.AddMatcher(std::make_unique<QuickSiMatcher>());
     } else if (a == "vf2") {
       engine.AddMatcher(std::make_unique<Vf2Matcher>());
-    } else if (a == "ull") {
-      engine.AddMatcher(std::make_unique<UllmannMatcher>());
     } else {
       std::cerr << "unknown algorithm '" << a << "'\n";
       return 1;

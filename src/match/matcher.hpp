@@ -38,15 +38,13 @@ using EmbeddingSink = std::function<bool(const Embedding&)>;
 
 /// A partial embedding a search was suspended at: the data-graph images of
 /// the first `prefix.size()` query vertices in the matcher's (fully
-/// deterministic) enumeration order, plus the candidate cursor at the
-/// resume depth — the search re-enters at `prefix.size()` skipping the
-/// first `cursor` candidates there. Every matcher's next-vertex choice and
-/// candidate order are pure functions of the assignment, so replaying the
-/// prefix reconstructs the exact mid-search state and the resumed call
-/// emits precisely the subtree the suspending call skipped.
+/// deterministic) enumeration order. Every matcher's next-vertex choice
+/// and candidate order are pure functions of the assignment, so a resumed
+/// call replays the prefix to reconstruct the exact mid-search state, then
+/// enumerates its whole subtree — precisely what the suspending call
+/// skipped.
 struct MatchResumeState {
   std::vector<VertexId> prefix;
-  uint32_t cursor = 0;
 };
 
 /// Spill hook for work stealing (match/steal.hpp): when set on a call,

@@ -1,13 +1,14 @@
 // Epoch-stamped, thread-reused search scratch for the candidate-list
-// matchers (GraphQL, sPath).
+// matchers (GraphQL, sPath), and the candidate-list search layer they
+// share on top of the search skeleton (match/search.hpp).
 //
 // Both engines used to allocate and zero-fill an O(|V| * nq) candidate
-// bitmap (plus used-flags, order, map and Kuhn buffers) on *every* Match()
-// call — pure churn in the FTV/NFV serving paths, where one prepared
-// matcher answers thousands of calls. This scratch keeps those buffers
-// alive per thread and replaces the zero-fills with epoch stamps: a cell
-// is "set" iff it carries the current call's epoch, so starting a call
-// costs one counter increment instead of an O(|V| * nq) clear.
+// bitmap (plus order and Kuhn buffers) on *every* Match() call — pure
+// churn in the FTV/NFV serving paths, where one prepared matcher answers
+// thousands of calls. This scratch keeps those buffers alive per thread
+// and replaces the zero-fills with epoch stamps: a cell is "set" iff it
+// carries the current call's epoch, so starting a call costs one counter
+// increment instead of an O(|V| * nq) clear.
 //
 // Thread-compatibility with the Matcher contract (concurrent const
 // Match() calls): every call leases the calling thread's scratch through
@@ -27,6 +28,7 @@
 
 #include "core/graph.hpp"
 #include "match/matcher.hpp"
+#include "match/search.hpp"
 
 namespace psi {
 
@@ -38,10 +40,8 @@ struct CandidateScratch {
   bool in_use = false;
 
   std::vector<uint32_t> cand_stamp;  ///< nq * |V| candidate-bit stamps
-  std::vector<uint32_t> used_stamp;  ///< |V| used-vertex stamps
   std::vector<std::vector<VertexId>> cand_list;
-  std::vector<VertexId> order;
-  Embedding map;
+  std::vector<VertexId> order;  ///< static matching order
   // Kuhn-matching buffers (degree-sized).
   std::vector<int> match_right;
   std::vector<uint8_t> visited;
@@ -57,14 +57,12 @@ struct CandidateScratch {
   void BeginCall(uint32_t nq, uint32_t nv) {
     if (epoch == std::numeric_limits<uint32_t>::max()) {
       std::fill(cand_stamp.begin(), cand_stamp.end(), 0u);
-      std::fill(used_stamp.begin(), used_stamp.end(), 0u);
       epoch = 0;
     }
     ++epoch;
     const size_t cells = static_cast<size_t>(nq) * nv;
     last_cells = cells;
     if (cand_stamp.size() < cells) cand_stamp.resize(cells, 0u);
-    if (used_stamp.size() < nv) used_stamp.resize(nv, 0u);
     if (cand_list.size() < nq) cand_list.resize(nq);
     for (uint32_t u = 0; u < nq; ++u) cand_list[u].clear();
   }
@@ -101,14 +99,11 @@ class ScratchLease {
       constexpr size_t kMaxRetainedCells = size_t{1} << 22;  // 16 MiB
       size_t list_cells = 0;
       for (const auto& l : scratch_->cand_list) list_cells += l.capacity();
-      const size_t retained = scratch_->cand_stamp.size() +
-                              scratch_->used_stamp.size() + list_cells;
+      const size_t retained = scratch_->cand_stamp.size() + list_cells;
       const size_t need = std::max<size_t>(scratch_->last_cells, 1);
       if (retained > kMaxRetainedCells && retained / 4 > need) {
         scratch_->cand_stamp.clear();
         scratch_->cand_stamp.shrink_to_fit();
-        scratch_->used_stamp.clear();
-        scratch_->used_stamp.shrink_to_fit();
         scratch_->cand_list.clear();
         scratch_->cand_list.shrink_to_fit();
       }
@@ -128,6 +123,85 @@ class ScratchLease {
 
   CandidateScratch* scratch_ = nullptr;
   std::unique_ptr<CandidateScratch> owned_;
+};
+
+/// The candidate-list layer GraphQL and sPath share: per-query-vertex
+/// candidate lists (label, degree, NLF, then the matcher's own signature
+/// test), a static matching order in `scr_.order` that the matcher's
+/// Prepare builds, and the join that enumerates them — anchored on the
+/// placed neighbour whose image offers the smallest source, every
+/// candidate checked against its list bit and its backward edges.
+template <typename Derived>
+class CandidateListSearch : public BacktrackSearch<Derived> {
+ public:
+  VertexId Next(uint32_t depth) const { return scr_.order[depth]; }
+
+  std::span<const VertexId> Source(uint32_t /*depth*/, VertexId u) {
+    return this->AnchoredSource(u, scr_.cand_list[u]);
+  }
+
+  bool Admit(uint32_t /*depth*/, VertexId u, VertexId v, size_t /*i*/,
+             bool mw) {
+    ++this->stats_.candidates_tried;
+    if (this->used_[v] || !CandBit(u, v)) return false;
+    // The intersection settles the backward edges for a multiway
+    // survivor; the anchored source still checks each one.
+    return mw || this->BackEdgesHold(u, v);
+  }
+
+ protected:
+  CandidateListSearch(const Graph& q, const Graph& g,
+                      const MatchOptions& opts, const CandidateIndex* index,
+                      CandidateScratch& scr)
+      : BacktrackSearch<Derived>(q, g, opts, index),
+        scr_(scr),
+        nv_(g.num_vertices()) {
+    scr_.BeginCall(q.num_vertices(), nv_);
+  }
+
+  /// Fills every query vertex's candidate list: label, degree, the NLF
+  /// prefilter, then `keep(u, v)` — the matcher's signature test, which
+  /// implies fingerprint containment, so the prefilter only skips work and
+  /// never changes a list. Returns false if some list ends up empty or the
+  /// guard trips.
+  template <typename Keep>
+  bool BuildCandidates(const Keep& keep) {
+    const Graph& q = this->q_;
+    const Graph& g = this->g_;
+    for (VertexId u = 0; u < q.num_vertices(); ++u) {
+      for (VertexId v : g.VerticesWithLabel(q.label(u))) {
+        if (this->guard_.Check() != Interrupt::kNone) return false;
+        if (g.degree(v) < q.degree(u)) continue;
+        if (this->index_ != nullptr &&
+            !this->index_->NlfAdmits(this->qnlf_[u], q.degree(u), v)) {
+          // Every split range repeats this shared build stage; the
+          // primary range alone counts it (exact stats folding).
+          if (this->opts_.primary_range()) ++this->stats_.nlf_rejects;
+          continue;
+        }
+        if (!keep(u, v)) continue;
+        scr_.cand_list[u].push_back(v);
+        SetCand(u, v);
+      }
+      if (scr_.cand_list[u].empty()) return false;
+    }
+    return true;
+  }
+
+  // Epoch-stamped candidate bits: set iff the cell carries this call's
+  // epoch.
+  bool CandBit(VertexId u, VertexId v) const {
+    return scr_.cand_stamp[static_cast<size_t>(u) * nv_ + v] == scr_.epoch;
+  }
+  void SetCand(VertexId u, VertexId v) {
+    scr_.cand_stamp[static_cast<size_t>(u) * nv_ + v] = scr_.epoch;
+  }
+  void ClearCand(VertexId u, VertexId v) {
+    scr_.cand_stamp[static_cast<size_t>(u) * nv_ + v] = 0;
+  }
+
+  CandidateScratch& scr_;
+  const uint32_t nv_;
 };
 
 }  // namespace psi

@@ -53,7 +53,6 @@ std::vector<Embedding>* EmbeddingQueue::Spill(
 
   StealUnit u;
   u.state.prefix.assign(prefix.begin(), prefix.end());
-  u.state.cursor = 0;
   u.range = range;
   u.slot = slot;
   u.out = unit_out;

@@ -1,10 +1,8 @@
 #include "quicksi/quicksi.hpp"
 
-#include <algorithm>
-#include <chrono>
+#include <utility>
 
-#include "match/candidate_index.hpp"
-#include "match/intersect.hpp"
+#include "match/search.hpp"
 
 namespace psi {
 
@@ -19,66 +17,73 @@ uint64_t EdgeKey(LabelId a, LabelId b, LabelId edge_label) {
   return h;
 }
 
-// Depth-first execution of a QI-sequence.
-class QsiSearch {
+// Depth-first execution of a QI-sequence on the shared search skeleton
+// (match/search.hpp).
+class QsiSearch : public BacktrackSearch<QsiSearch> {
  public:
   QsiSearch(const Graph& q, const Graph& g,
             const std::vector<QsiEntry>& seq, const MatchOptions& opts,
             const CandidateIndex* index)
-      : q_(q),
-        g_(g),
+      : BacktrackSearch(q, g, opts, index),
         seq_(seq),
-        opts_(opts),
-        index_(index),
-        guard_(opts.stop, opts.deadline, opts.guard_period, opts.stop2),
-        map_(q.num_vertices(), kInvalidVertex),
-        used_(g.num_vertices(), 0) {
-    if (index_ != nullptr) {
-      qnlf_ = CandidateIndex::QueryNlf(q);
-      if (ResolveMultiwayEnabled(opts.multiway)) {
-        multiway_ = true;
-        simd_ = ResolveSimdLevel(opts.simd);
-        mw_.resize(q.num_vertices());
-      }
+        via_(q.num_vertices()) {}
+
+  bool Prepare() const { return true; }
+
+  VertexId Next(uint32_t depth) const { return seq_[depth].vertex; }
+
+  // Tree children draw candidates from the parent image's adjacency
+  // (edge labels ride along in the parallel span); roots scan the label
+  // index. With the candidate index, a child enumerates only the parent
+  // image's correctly-labelled slice — the label check in Feasible would
+  // have rejected the rest one by one — in the slice's (degree, id)
+  // order; without it, plain ascending id. Later roots of a disconnected
+  // forest enumerate fully: only depth 0 is split.
+  std::span<const VertexId> Source(uint32_t depth, VertexId u) {
+    const QsiEntry& e = seq_[depth];
+    via_[depth] = {};
+    if (e.parent == kInvalidVertex) return g_.VerticesWithLabel(q_.label(u));
+    const VertexId parent_img = map_[e.parent];
+    if (index_ == nullptr) {
+      via_[depth] = g_.edge_labels(parent_img);
+      return g_.neighbors(parent_img);
     }
+    const CandidateIndex::LabelSlice slice =
+        index_->Slice(parent_img, q_.label(u));
+    via_[depth] = slice.edge_labels;
+    stats_.slice_candidates += slice.size();
+    return slice.vertices;
   }
 
-  MatchResult Run() {
-    const auto start = std::chrono::steady_clock::now();
-    MatchResult r;
-    if (q_.num_vertices() == 0) {
-      r.embedding_count = 1;
-      r.complete = true;
-      if (opts_.sink) opts_.sink(Embedding{});
-    } else {
-      uint32_t start_depth = 0;
-      if (opts_.resume != nullptr) {
-        // Re-enter mid-search: replay the spilled prefix along the (fully
-        // deterministic) QI-sequence, stat-free — the spilling owner
-        // counted the whole path.
-        const std::vector<VertexId>& prefix = opts_.resume->prefix;
-        for (uint32_t d = 0; d < prefix.size(); ++d) {
-          map_[seq_[d].vertex] = prefix[d];
-          used_[prefix[d]] = 1;
-        }
-        start_depth = static_cast<uint32_t>(prefix.size());
-      }
-      Recurse(start_depth);
-      r.embedding_count = found_;
-      r.complete = !guard_.interrupted();
-      r.timed_out = guard_.state() == Interrupt::kDeadline;
-      r.cancelled = guard_.state() == Interrupt::kCancelled;
+  // A multiway survivor has its label, via label and back edges settled
+  // by the intersection; only injectivity remains.
+  bool Admit(uint32_t depth, VertexId u, VertexId v, size_t i, bool mw) {
+    if (!NlfAdmits(u, v)) return false;
+    ++stats_.candidates_tried;
+    if (mw) return !used_[v];
+    const QsiEntry& e = seq_[depth];
+    const LabelId via =
+        via_[depth].empty() ? e.parent_edge_label : via_[depth][i];
+    return Feasible(e, v, via);
+  }
+
+  // A tree child with back edges has >= 2 matched backward neighbours;
+  // the parent leads the intersection inputs, then the back edges.
+  void MultiwayInputs(uint32_t depth, VertexId /*u*/,
+                      std::vector<MultiwayScratch::Input>& inputs) const {
+    const QsiEntry& e = seq_[depth];
+    if (e.parent == kInvalidVertex) return;
+    inputs.push_back({map_[e.parent], e.parent_edge_label});
+    for (size_t i = 0; i < e.back_edges.size(); ++i) {
+      inputs.push_back({map_[e.back_edges[i]], e.back_edge_labels[i]});
     }
-    r.stats = stats_;
-    r.elapsed = std::chrono::steady_clock::now() - start;
-    return r;
   }
 
  private:
   // Label + parent-adjacency + back-edge checks only — faithful to the
   // original QuickSI, which carries no degree-based pruning (its fragility
   // on bad orders is exactly what the paper's Fig 2/Table 3 expose; the
-  // candidate index's NLF prefilter in Recurse is an answer-preserving
+  // candidate index's NLF prefilter in Admit is an answer-preserving
   // kernel accelerator on top, PSI_MATCH_INDEX=0 restores the original).
   bool Feasible(const QsiEntry& e, VertexId gv, LabelId via_edge_label) {
     if (used_[gv] || g_.label(gv) != q_.label(e.vertex)) return false;
@@ -95,135 +100,9 @@ class QsiSearch {
     return true;
   }
 
-  bool Place(uint32_t depth, VertexId gv) {
-    const QsiEntry& e = seq_[depth];
-    map_[e.vertex] = gv;
-    used_[gv] = 1;
-    const bool keep_going = Recurse(depth + 1);
-    used_[gv] = 0;
-    map_[e.vertex] = kInvalidVertex;
-    return keep_going;
-  }
-
-  bool Recurse(uint32_t depth) {
-    if (depth == seq_.size()) {
-      ++found_;
-      if (opts_.sink && !opts_.sink(map_)) return false;
-      return found_ < opts_.max_embeddings;
-    }
-    // Work stealing: offer the subtree out before counting its node (the
-    // thief's resumed call then counts exactly what serial would have).
-    // The prefix is reconstructed from the QI-sequence images.
-    if (opts_.spill != nullptr && depth == opts_.spill->depth && depth > 0 &&
-        stats_.recursion_nodes >= opts_.spill->min_nodes) {
-      spill_buf_.clear();
-      for (uint32_t d = 0; d < depth; ++d) {
-        spill_buf_.push_back(map_[seq_[d].vertex]);
-      }
-      if (opts_.spill->Offer(spill_buf_)) return true;
-    }
-    // The shared depth-0 node belongs to the primary split range (exact
-    // per-range stats folding — see MatchOptions).
-    if (depth != 0 || opts_.primary_range()) ++stats_.recursion_nodes;
-    const QsiEntry& e = seq_[depth];
-    // Tree children draw candidates from the parent image's adjacency
-    // (edge labels ride along in the parallel span); roots scan the label
-    // index. With the candidate index, a child enumerates only the parent
-    // image's correctly-labelled slice — the label check in Feasible would
-    // have rejected the rest one by one — in the slice's (degree, id)
-    // order; without it, plain ascending id.
-    std::span<const VertexId> candidates;
-    std::span<const LabelId> via_labels;
-    // Multiway (WCOJ) extension: a tree child with back edges has >= 2
-    // matched backward neighbours (parent + back edges); intersect all
-    // their label slices at once (match/intersect.hpp). Survivors arrive
-    // in the parent slice's subsequence order — the stream is unchanged —
-    // with the via-label and back-edge checks already settled, so the
-    // survivor loop only tests injectivity. Skipped at a non-zero resume
-    // cursor (spilled subtrees resume at cursor 0 in practice).
-    bool mw = false;
-    if (multiway_ && e.parent != kInvalidVertex && !e.back_edges.empty() &&
-        (opts_.resume == nullptr ||
-         depth != static_cast<uint32_t>(opts_.resume->prefix.size()) ||
-         opts_.resume->cursor == 0)) {
-      auto& scr = mw_[depth];
-      scr.inputs.clear();
-      scr.inputs.push_back({map_[e.parent], e.parent_edge_label});
-      for (size_t i = 0; i < e.back_edges.size(); ++i) {
-        scr.inputs.push_back(
-            {map_[e.back_edges[i]], e.back_edge_labels[i]});
-      }
-      candidates =
-          ExtendCandidates(*index_, g_, q_.label(e.vertex), simd_, scr,
-                           stats_);
-      mw = true;
-    } else if (e.parent != kInvalidVertex) {
-      if (index_ != nullptr) {
-        const CandidateIndex::LabelSlice slice =
-            index_->Slice(map_[e.parent], q_.label(e.vertex));
-        candidates = slice.vertices;
-        via_labels = slice.edge_labels;
-        stats_.slice_candidates += candidates.size();
-      } else {
-        candidates = g_.neighbors(map_[e.parent]);
-        via_labels = g_.edge_labels(map_[e.parent]);
-      }
-    } else {
-      candidates = g_.VerticesWithLabel(q_.label(e.vertex));
-    }
-    // A split task enumerates only its block of the root frontier (the
-    // QI-sequence root is always depth 0; later roots of a disconnected
-    // forest enumerate fully — they multiply under every root candidate).
-    if (depth == 0) candidates = SplitRootCandidates(candidates, opts_);
-    // A resumed call skips the candidates before its cursor at the resume
-    // depth (entered exactly once, straight from Run).
-    if (opts_.resume != nullptr &&
-        depth == static_cast<uint32_t>(opts_.resume->prefix.size())) {
-      const size_t skip =
-          std::min<size_t>(opts_.resume->cursor, candidates.size());
-      candidates = candidates.subspan(skip);
-      if (!via_labels.empty()) via_labels = via_labels.subspan(skip);
-    }
-    for (size_t ci = 0; ci < candidates.size(); ++ci) {
-      const VertexId gv = candidates[ci];
-      if (guard_.Check() != Interrupt::kNone) return false;
-      if (index_ != nullptr &&
-          !index_->NlfAdmits(qnlf_[e.vertex], q_.degree(e.vertex), gv)) {
-        ++stats_.nlf_rejects;
-        continue;
-      }
-      ++stats_.candidates_tried;
-      if (mw) {
-        // Label, via-label and back edges are settled by the
-        // intersection; only injectivity remains.
-        if (used_[gv]) continue;
-      } else {
-        const LabelId via =
-            via_labels.empty() ? e.parent_edge_label : via_labels[ci];
-        if (!Feasible(e, gv, via)) continue;
-      }
-      if (!Place(depth, gv)) return false;
-    }
-    return true;
-  }
-
-  const Graph& q_;
-  const Graph& g_;
   const std::vector<QsiEntry>& seq_;
-  const MatchOptions& opts_;
-  const CandidateIndex* index_;
-  CostGuard guard_;
-  MatchStats stats_;
-  uint64_t found_ = 0;
-  Embedding map_;
-  std::vector<uint8_t> used_;
-  std::vector<uint64_t> qnlf_;  // empty when index_ == nullptr
-  std::vector<VertexId> spill_buf_;  // prefix scratch for Offer()
-  // Multiway extension kernel (match/intersect.hpp); per-depth scratch so
-  // deeper extensions never clobber an outer survivor span.
-  bool multiway_ = false;
-  SimdLevel simd_ = SimdLevel::kScalar;
-  std::vector<MultiwayScratch> mw_;
+  // Edge labels parallel to each depth's source (empty for roots).
+  std::vector<std::span<const LabelId>> via_;
 };
 
 }  // namespace
@@ -362,8 +241,8 @@ std::vector<QsiEntry> QuickSiMatcher::CompileSequence(
 MatchResult QuickSiMatcher::Match(const Graph& query,
                                   const MatchOptions& opts) const {
   const auto seq = CompileSequence(query);
-  QsiSearch search(query, *data_, seq, opts, candidate_index());
-  MatchResult r = search.Run();
+  MatchResult r =
+      QsiSearch(query, *data_, seq, opts, candidate_index()).Run();
   NoteMatch(opts, r.stats);
   return r;
 }

@@ -1,80 +1,26 @@
 #include "vf2/vf2.hpp"
 
-#include <algorithm>
 #include <vector>
 
-#include "match/candidate_index.hpp"
-#include "match/intersect.hpp"
+#include "match/search.hpp"
 
 namespace psi {
 
 namespace {
 
-// Mutable search state for one Vf2Match call. All arrays are indexed by
-// vertex id; `in_q`/`in_g` hold the depth+1 at which a vertex entered the
-// terminal set (0 = never), enabling O(1) backtracking.
-class Vf2State {
+// VF2 on the shared search skeleton (match/search.hpp). `in_q_`/`in_g_`
+// hold the depth+1 at which a vertex entered the terminal set (0 = never),
+// enabling O(1) backtracking.
+class Vf2Search : public BacktrackSearch<Vf2Search> {
  public:
-  Vf2State(const Graph& q, const Graph& g, const MatchOptions& opts,
-           const CandidateIndex* index)
-      : q_(q),
-        g_(g),
-        opts_(opts),
-        index_(index),
-        guard_(opts.stop, opts.deadline, opts.guard_period, opts.stop2),
-        core_q_(q.num_vertices(), kInvalidVertex),
-        core_g_(g.num_vertices(), kInvalidVertex),
+  Vf2Search(const Graph& q, const Graph& g, const MatchOptions& opts,
+            const CandidateIndex* index)
+      : BacktrackSearch(q, g, opts, index),
         in_q_(q.num_vertices(), 0),
-        in_g_(g.num_vertices(), 0) {
-    if (index_ != nullptr) {
-      qnlf_ = CandidateIndex::QueryNlf(q);
-      if (ResolveMultiwayEnabled(opts.multiway)) {
-        multiway_ = true;
-        simd_ = ResolveSimdLevel(opts.simd);
-        mw_.resize(q.num_vertices());
-      }
-    }
-  }
+        in_g_(g.num_vertices(), 0) {}
 
-  MatchResult Run() {
-    const auto start = std::chrono::steady_clock::now();
-    MatchResult r;
-    if (q_.num_vertices() == 0) {
-      // The empty query has exactly one (empty) embedding.
-      r.embedding_count = 1;
-      r.complete = true;
-      if (opts_.sink) opts_.sink(Embedding{});
-    } else if (opts_.resume != nullptr) {
-      // Re-enter mid-search: replay the spilled prefix stat-free (the
-      // spilling owner counted the whole path) and enumerate exactly the
-      // subtree it skipped. NextQueryVertex is a pure function of the
-      // assignment, so the replay reconstructs the owner's order.
-      const std::vector<VertexId>& prefix = opts_.resume->prefix;
-      for (uint32_t d = 0; d < prefix.size(); ++d) {
-        Push(NextQueryVertex(), prefix[d], d);
-      }
-      Recurse(static_cast<uint32_t>(prefix.size()));
-      r.embedding_count = found_;
-      r.complete = !guard_.interrupted();
-      r.timed_out = guard_.state() == Interrupt::kDeadline;
-      r.cancelled = guard_.state() == Interrupt::kCancelled;
-    } else if (FeasibleOnCounts()) {
-      Recurse(0);
-      r.embedding_count = found_;
-      r.complete = !guard_.interrupted();
-      r.timed_out = guard_.state() == Interrupt::kDeadline;
-      r.cancelled = guard_.state() == Interrupt::kCancelled;
-    } else {
-      r.complete = true;
-    }
-    r.stats = stats_;
-    r.elapsed = std::chrono::steady_clock::now() - start;
-    return r;
-  }
-
- private:
   // Cheap global reject: not enough vertices of some label in g.
-  bool FeasibleOnCounts() const {
+  bool Prepare() const {
     if (q_.num_vertices() > g_.num_vertices()) return false;
     if (q_.num_edges() > g_.num_edges()) return false;
     for (VertexId qv = 0; qv < q_.num_vertices(); ++qv) {
@@ -86,62 +32,45 @@ class Vf2State {
   // Chooses the next query vertex: smallest-ID unmatched vertex in the
   // terminal set; if the terminal set is empty (start / disconnected query
   // part), smallest-ID unmatched vertex overall.
-  VertexId NextQueryVertex() const {
+  VertexId Next(uint32_t /*depth*/) const {
     VertexId fallback = kInvalidVertex;
     for (VertexId qv = 0; qv < q_.num_vertices(); ++qv) {
-      if (core_q_[qv] != kInvalidVertex) continue;
+      if (map_[qv] != kInvalidVertex) continue;
       if (in_q_[qv] != 0) return qv;
       if (fallback == kInvalidVertex) fallback = qv;
     }
     return fallback;
   }
 
-  // The three pruning rules of §3.1.1 for candidate pair (qv, gv).
-  bool Feasible(VertexId qv, VertexId gv) {
-    if (q_.label(qv) != g_.label(gv)) return false;
-    // Rule 1 — consistency: every matched neighbour of qv must map to a
-    // neighbour of gv through an equally-labelled edge (non-induced: one
-    // direction only).
-    {
-      auto adj = q_.neighbors(qv);
-      auto elabels = q_.edge_labels(qv);
-      for (size_t i = 0; i < adj.size(); ++i) {
-        const VertexId qw = adj[i];
-        if (core_q_[qw] == kInvalidVertex) continue;
-        if (!CandidateIndex::CheckEdge(index_, g_, gv, core_q_[qw],
-                                       elabels[i], stats_)) {
-          return false;
-        }
-      }
-    }
-    return FeasibleLookahead(qv, gv);
+  // Candidate enumeration in ascending data-vertex id (slice-internal
+  // (degree, id) order under the index). If qv has a matched neighbour,
+  // its image's adjacency is the tightest candidate source (rule 1
+  // pre-applied); otherwise fall back to the label index. With the
+  // candidate index the anchor's *label slice* replaces its full
+  // adjacency, and the anchor itself is chosen by the size of that
+  // label-restricted slice, not raw degree (PickAnchorImage).
+  std::span<const VertexId> Source(uint32_t /*depth*/, VertexId qv) {
+    return AnchoredSource(qv, g_.VerticesWithLabel(q_.label(qv)));
   }
 
-  // Rules 2 & 3 alone — the multiway survivor check: label and rule 1 are
-  // already established by the intersection (survivors are label-slice
-  // members adjacent to every matched neighbour through the required edge
-  // labels).
-  bool FeasibleLookahead(VertexId qv, VertexId gv) {
-    // Lookahead: count qv's unmatched neighbours inside and outside the
-    // terminal set; gv must offer at least as many of each.
-    uint32_t q_term = 0, q_new = 0;
-    for (VertexId qw : q_.neighbors(qv)) {
-      if (core_q_[qw] != kInvalidVertex) continue;
-      in_q_[qw] != 0 ? ++q_term : ++q_new;
-    }
-    uint32_t g_term = 0, g_new = 0;
-    for (VertexId gw : g_.neighbors(gv)) {
-      if (core_g_[gw] != kInvalidVertex) continue;
-      in_g_[gw] != 0 ? ++g_term : ++g_new;
-    }
-    // A terminal data vertex can also serve a "new" query neighbour, hence
-    // the combined bound as the third rule.
-    return q_term <= g_term && (q_term + q_new) <= (g_term + g_new);
+  // A multiway survivor already satisfies the label and rule 1 (it is a
+  // label-slice member adjacent to every matched neighbour through the
+  // required edge labels), so only the lookahead rules remain.
+  bool Admit(uint32_t /*depth*/, VertexId qv, VertexId gv, size_t /*i*/,
+             bool mw) {
+    if (used_[gv]) return false;
+    if (!NlfAdmits(qv, gv)) return false;
+    ++stats_.candidates_tried;
+    if (mw) return FeasibleLookahead(qv, gv);
+    // The three pruning rules of §3.1.1. Rule 1 — consistency: every
+    // matched neighbour of qv must map to a neighbour of gv through an
+    // equally-labelled edge.
+    return q_.label(qv) == g_.label(gv) && BackEdgesHold(qv, gv) &&
+           FeasibleLookahead(qv, gv);
   }
 
-  void Push(VertexId qv, VertexId gv, uint32_t depth) {
-    core_q_[qv] = gv;
-    core_g_[gv] = qv;
+  void Assign(uint32_t depth, VertexId qv, VertexId gv) {
+    BacktrackSearch::Assign(depth, qv, gv);
     if (in_q_[qv] == 0) in_q_[qv] = depth + 1;
     if (in_g_[gv] == 0) in_g_[gv] = depth + 1;
     for (VertexId qw : q_.neighbors(qv)) {
@@ -152,7 +81,7 @@ class Vf2State {
     }
   }
 
-  void Pop(VertexId qv, VertexId gv, uint32_t depth) {
+  void Unassign(uint32_t depth, VertexId qv, VertexId gv) {
     for (VertexId qw : q_.neighbors(qv)) {
       if (in_q_[qw] == depth + 1) in_q_[qw] = 0;
     }
@@ -161,145 +90,44 @@ class Vf2State {
     }
     if (in_q_[qv] == depth + 1) in_q_[qv] = 0;
     if (in_g_[gv] == depth + 1) in_g_[gv] = 0;
-    core_q_[qv] = kInvalidVertex;
-    core_g_[gv] = kInvalidVertex;
+    BacktrackSearch::Unassign(depth, qv, gv);
   }
 
-  // Returns false when the search should unwind entirely (cap reached or
-  // interrupted).
-  bool Recurse(uint32_t depth) {
-    if (depth == q_.num_vertices()) {
-      ++found_;
-      if (opts_.sink && !opts_.sink(core_q_)) return false;
-      return found_ < opts_.max_embeddings;
+ private:
+  // Rules 2 & 3 — lookahead: count qv's unmatched neighbours inside and
+  // outside the terminal set; gv must offer at least as many of each.
+  bool FeasibleLookahead(VertexId qv, VertexId gv) const {
+    uint32_t q_term = 0, q_new = 0;
+    for (VertexId qw : q_.neighbors(qv)) {
+      if (map_[qw] != kInvalidVertex) continue;
+      in_q_[qw] != 0 ? ++q_term : ++q_new;
     }
-    // Work stealing: offer the whole subtree out *before* counting its
-    // node — an accepted offer means this call counts nothing for it and
-    // the thief's resumed call counts exactly what serial would have.
-    if (opts_.spill != nullptr && depth == opts_.spill->depth && depth > 0 &&
-        stats_.recursion_nodes >= opts_.spill->min_nodes &&
-        opts_.spill->Offer(path_)) {
-      return true;
+    uint32_t g_term = 0, g_new = 0;
+    for (VertexId gw : g_.neighbors(gv)) {
+      if (used_[gw]) continue;
+      in_g_[gw] != 0 ? ++g_term : ++g_new;
     }
-    // The shared depth-0 node is counted by the primary split range only,
-    // so per-range stats merged with MatchStats::Add equal the serial
-    // counters exactly.
-    if (depth != 0 || opts_.primary_range()) ++stats_.recursion_nodes;
-    const VertexId qv = NextQueryVertex();
-
-    // Candidate enumeration in ascending data-vertex id (slice-internal
-    // (degree, id) order under the index). If qv has a
-    // matched neighbour, its image's adjacency is the tightest candidate
-    // source (rule 1 pre-applied); otherwise fall back to the label index.
-    // With the candidate index the anchor's *label slice* replaces its
-    // full adjacency, and the anchor itself is chosen by the size of that
-    // label-restricted slice, not raw degree (PickAnchorImage).
-    const LabelId ql = q_.label(qv);
-    // Multiway (WCOJ) extension: with >= 2 matched backward neighbours,
-    // intersect all their label slices at once (match/intersect.hpp). The
-    // survivor sequence equals the legacy anchored enumeration filtered by
-    // rule 1, in the same (degree, id) order, so the stream is unchanged.
-    // Skipped at a non-zero resume cursor (the legacy span subsetting
-    // applies there; in practice spilled subtrees resume at cursor 0).
-    std::span<const VertexId> candidates;
-    bool mw = false;
-    if (multiway_ && depth > 0 &&
-        (opts_.resume == nullptr ||
-         depth != static_cast<uint32_t>(opts_.resume->prefix.size()) ||
-         opts_.resume->cursor == 0)) {
-      auto& scr = mw_[depth];
-      scr.inputs.clear();
-      auto adj = q_.neighbors(qv);
-      auto elabels = q_.edge_labels(qv);
-      for (size_t i = 0; i < adj.size(); ++i) {
-        const VertexId img = core_q_[adj[i]];
-        if (img != kInvalidVertex) scr.inputs.push_back({img, elabels[i]});
-      }
-      if (scr.inputs.size() >= 2) {
-        candidates = ExtendCandidates(*index_, g_, ql, simd_, scr, stats_);
-        mw = true;
-      }
-    }
-    if (!mw) {
-      const VertexId anchor = CandidateIndex::PickAnchorImage(
-          index_, q_, g_, qv, ql,
-          [this](VertexId qw) { return core_q_[qw]; });
-      candidates =
-          CandidateIndex::AnchoredSource(index_, g_, anchor, ql,
-                                         g_.VerticesWithLabel(ql), stats_);
-      // A split task enumerates only its block of the root frontier.
-      if (depth == 0) candidates = SplitRootCandidates(candidates, opts_);
-      // A resumed call skips the candidates before its cursor at the
-      // resume depth (entered exactly once, straight from Run).
-      if (opts_.resume != nullptr &&
-          depth == static_cast<uint32_t>(opts_.resume->prefix.size())) {
-        candidates = candidates.subspan(
-            std::min<size_t>(opts_.resume->cursor, candidates.size()));
-      }
-    }
-
-    for (VertexId gv : candidates) {
-      if (guard_.Check() != Interrupt::kNone) return false;
-      if (core_g_[gv] != kInvalidVertex) continue;
-      if (index_ != nullptr &&
-          !index_->NlfAdmits(qnlf_[qv], q_.degree(qv), gv)) {
-        ++stats_.nlf_rejects;
-        continue;
-      }
-      ++stats_.candidates_tried;
-      if (mw ? !FeasibleLookahead(qv, gv) : !Feasible(qv, gv)) continue;
-      Push(qv, gv, depth);
-      // Track the assignment path up to the spill depth (VF2's vertex
-      // order is dynamic, so the prefix cannot be reconstructed from
-      // core_q_ without it).
-      const bool track = opts_.spill != nullptr && depth < opts_.spill->depth;
-      if (track) path_.push_back(gv);
-      const bool keep_going = Recurse(depth + 1);
-      if (track) path_.pop_back();
-      Pop(qv, gv, depth);
-      if (!keep_going) return false;
-    }
-    return true;
+    // A terminal data vertex can also serve a "new" query neighbour, hence
+    // the combined bound as the third rule.
+    return q_term <= g_term && (q_term + q_new) <= (g_term + g_new);
   }
 
-  const Graph& q_;
-  const Graph& g_;
-  const MatchOptions& opts_;
-  const CandidateIndex* index_;
-  CostGuard guard_;
-  MatchStats stats_;
-  uint64_t found_ = 0;
-  std::vector<VertexId> core_q_;
-  std::vector<VertexId> core_g_;
   // Depth+1 at which the vertex joined the terminal set; 0 = not a member.
   std::vector<uint32_t> in_q_;
   std::vector<uint32_t> in_g_;
-  // Query-side NLF fingerprints; empty when index_ == nullptr.
-  std::vector<uint64_t> qnlf_;
-  // Multiway extension kernel (match/intersect.hpp): enabled only with
-  // the index; one scratch per depth so a deeper extension never clobbers
-  // the survivor span an outer loop is iterating.
-  bool multiway_ = false;
-  SimdLevel simd_ = SimdLevel::kScalar;
-  std::vector<MultiwayScratch> mw_;
-  // Data-vertex images along the current path, maintained (only when a
-  // spill hook is set) up to the spill depth — the prefix Offer() hands out.
-  std::vector<VertexId> path_;
 };
 
 }  // namespace
 
 MatchResult Vf2Match(const Graph& query, const Graph& data,
                      const MatchOptions& opts) {
-  Vf2State state(query, data, opts, nullptr);
-  return state.Run();
+  return Vf2Match(query, data, opts, nullptr);
 }
 
 MatchResult Vf2Match(const Graph& query, const Graph& data,
                      const MatchOptions& opts,
                      const CandidateIndex* index) {
-  Vf2State state(query, data, opts, index);
-  return state.Run();
+  return Vf2Search(query, data, opts, index).Run();
 }
 
 Status Vf2Matcher::Prepare(const Graph& data) {
