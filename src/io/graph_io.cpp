@@ -54,8 +54,14 @@ Result<GraphDataset> ReadGfu(std::istream& in, LabelDict* dict) {
     if (!ParseUint(line, &n64)) {
       return ParseError(line_no, "bad vertex count '" + line + "'");
     }
+    // The count is untrusted: it must fit a vertex id, and the builder
+    // grows with the vertex lines actually read instead of pre-sizing
+    // from the header.
+    if (n64 >= kInvalidVertex) {
+      return ParseError(line_no, "vertex count " + line + " out of range");
+    }
     const auto n = static_cast<uint32_t>(n64);
-    GraphBuilder b(n);
+    GraphBuilder b;
     for (uint32_t v = 0; v < n; ++v) {
       if (!NextLine(in, &line, &line_no)) {
         return ParseError(line_no, "missing vertex label");

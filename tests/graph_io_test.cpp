@@ -72,6 +72,23 @@ TEST(GfuTest, RejectsGarbage) {
     std::istringstream in("#g\n2\nA\n");  // truncated
     EXPECT_FALSE(ReadGfu(in, &dict).ok());
   }
+  {
+    // 2^32 + 1 used to wrap to a 1-vertex graph.
+    std::istringstream in("#g\n4294967297\nA\n0\n");
+    auto r = ReadGfu(in, &dict);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), Status::Code::kCorruption)
+        << r.status().ToString();
+  }
+  {
+    // A huge header count with no vertex lines must fail as truncated
+    // input, not by reserving memory for the claimed vertices.
+    std::istringstream in("#g\n4000000000\n");
+    auto r = ReadGfu(in, &dict);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), Status::Code::kCorruption)
+        << r.status().ToString();
+  }
 }
 
 // Structure must survive a round trip exactly; label *ids* may permute
