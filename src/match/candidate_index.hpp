@@ -160,8 +160,8 @@ class CandidateIndex {
   /// Approximate footprint, for Prepare-time accounting in benches.
   size_t memory_bytes() const;
 
-  // ---- Shared enumeration helpers (one copy of the hot-path dispatch
-  // instead of one per matcher) ----
+  // ---- Enumeration helpers with and without an index (the search
+  // skeleton, match/search.hpp, is their caller) ----
 
   /// Picks the anchored-enumeration source vertex among the *images* of
   /// `u`'s already-matched query neighbours: the image with the smallest
@@ -194,21 +194,6 @@ class CandidateIndex {
       }
     }
     return best_img;
-  }
-
-  /// The candidate span an anchored join enumerates: the anchor image's
-  /// label slice (counted into `stats`) under the index, its full
-  /// adjacency without, `fallback` when there is no anchor.
-  static std::span<const VertexId> AnchoredSource(
-      const CandidateIndex* index, const Graph& g, VertexId anchor_img,
-      LabelId ul, std::span<const VertexId> fallback, MatchStats& stats) {
-    if (anchor_img == kInvalidVertex) return fallback;
-    if (index != nullptr) {
-      const auto slice = index->Slice(anchor_img, ul).vertices;
-      stats.slice_candidates += slice.size();
-      return slice;
-    }
-    return g.neighbors(anchor_img);
   }
 
   /// Edge check dispatch: hub-bitset-accelerated when `index` is present,

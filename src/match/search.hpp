@@ -158,16 +158,20 @@ class BacktrackSearch {
     return true;
   }
 
-  /// Anchored enumeration: the label slice (full adjacency without the
-  /// index) of the matched neighbour image with the smallest one, or
-  /// `fallback` when no neighbour of `u` is matched yet.
+  /// Anchored enumeration: the label slice (counted into the stats) of
+  /// the matched neighbour image with the smallest one — full adjacency
+  /// without the index — or `fallback` when no neighbour of `u` is
+  /// matched yet.
   std::span<const VertexId> AnchoredSource(
       VertexId u, std::span<const VertexId> fallback) {
     const LabelId ul = q_.label(u);
     const VertexId anchor = CandidateIndex::PickAnchorImage(
         index_, q_, g_, u, ul, [this](VertexId w) { return map_[w]; });
-    return CandidateIndex::AnchoredSource(index_, g_, anchor, ul, fallback,
-                                          stats_);
+    if (anchor == kInvalidVertex) return fallback;
+    if (index_ == nullptr) return g_.neighbors(anchor);
+    const auto slice = index_->Slice(anchor, ul).vertices;
+    stats_.slice_candidates += slice.size();
+    return slice;
   }
 
   const Graph& q_;
