@@ -160,8 +160,8 @@ class CandidateIndex {
   /// Approximate footprint, for Prepare-time accounting in benches.
   size_t memory_bytes() const;
 
-  // ---- Enumeration helpers with and without an index (the search
-  // skeleton, match/search.hpp, is their caller) ----
+  // ---- Search helpers that work with or without an index (`index` may
+  // be null) ----
 
   /// Picks the anchored-enumeration source vertex among the *images* of
   /// `u`'s already-matched query neighbours: the image with the smallest

@@ -83,8 +83,9 @@ bool SignatureDominates(const std::vector<NsEntry>& query_sig,
 
 // Candidate lists by signature dominance plus the path-cover order; the
 // shared candidate-list layer (match/scratch.hpp) runs the join. Like
-// GraphQL, all O(|V|)-sized buffers live in the leased epoch-stamped
-// CandidateScratch instead of being allocated and zero-filled per call.
+// GraphQL, the O(|V| * nq) candidate bits live in the leased
+// epoch-stamped CandidateScratch instead of being allocated and
+// zero-filled per call.
 class SpaSearch : public CandidateListSearch<SpaSearch> {
  public:
   SpaSearch(const Graph& q, const Graph& g,
