@@ -11,29 +11,17 @@
 // are often 1-core) the width curve is recorded and the parity assertions
 // — identical embeddings and search effort at every width — carry the
 // correctness claim instead.
-//
-// `--skew` switches the binary to the skew-curve mode instead: a
-// hand-built single-hub data graph where one root candidate owns ~99% of
-// the search tree, enumerated repeatedly at split width 4 with work
-// stealing off vs on (match/steal.hpp). The root split alone cannot help
-// here — the hub is one range — so the p99 gap between the two arms
-// isolates exactly what stealing buys. Stream and counter parity between
-// the arms (and against the serial search) is hard-asserted; the p99
-// improvement is shape-gated on hardware_concurrency >= 4.
 
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.hpp"
-#include "core/env.hpp"
 #include "exec/executor.hpp"
 #include "graphql/graphql.hpp"
 #include "match/candidate_index.hpp"
 #include "match/parallel.hpp"
-#include "metrics/metrics.hpp"
 #include "vf2/vf2.hpp"
 
 using namespace psi;
@@ -75,199 +63,10 @@ WidthArm RunWidth(const Matcher& m, std::span<const gen::Query> workload,
   return arm;
 }
 
-// ---- Skew-curve mode (--skew) ----
-
-/// Single-hub skewed data graph: `num_roots` label-0 root candidates, of
-/// which roots[0] (the hub) carries a deep label-1/2/3 subtree while every
-/// other root resolves in a handful of steps. A 4-vertex path query
-/// 0-1-2-3 then roots its enumeration at the label-0 frontier (fewest
-/// candidates), making the hub's range the lone straggler under a split.
-Graph BuildSkewGraph(uint32_t num_roots, uint32_t hub_mids,
-                     uint32_t num_tails, uint32_t leaves_per_tail) {
-  GraphBuilder b;
-  std::vector<VertexId> roots;
-  for (uint32_t i = 0; i < num_roots; ++i) roots.push_back(b.AddVertex(0));
-  std::vector<VertexId> tails;
-  for (uint32_t i = 0; i < num_tails; ++i) tails.push_back(b.AddVertex(2));
-  for (VertexId t : tails) {
-    for (uint32_t j = 0; j < leaves_per_tail; ++j) {
-      const VertexId leaf = b.AddVertex(3);
-      b.AddEdge(t, leaf);
-    }
-  }
-  // Hub subtree: hub_mids label-1 vertices, each adjacent to every tail.
-  for (uint32_t i = 0; i < hub_mids; ++i) {
-    const VertexId m = b.AddVertex(1);
-    b.AddEdge(roots[0], m);
-    for (VertexId t : tails) b.AddEdge(m, t);
-  }
-  // Light subtrees: one mid, one tail each.
-  for (size_t r = 1; r < roots.size(); ++r) {
-    const VertexId m = b.AddVertex(1);
-    b.AddEdge(roots[r], m);
-    b.AddEdge(m, tails[r % tails.size()]);
-  }
-  auto g = b.Build("skew-hub");
-  if (!g.ok()) {
-    std::cerr << "skew graph build failed: " << g.status().message() << "\n";
-    std::exit(1);
-  }
-  return std::move(g).value();
-}
-
-Graph BuildSkewQuery() {
-  GraphBuilder qb;
-  const VertexId q0 = qb.AddVertex(0);
-  const VertexId q1 = qb.AddVertex(1);
-  const VertexId q2 = qb.AddVertex(2);
-  const VertexId q3 = qb.AddVertex(3);
-  qb.AddEdge(q0, q1);
-  qb.AddEdge(q1, q2);
-  qb.AddEdge(q2, q3);
-  auto q = qb.Build("skew-query");
-  if (!q.ok()) {
-    std::cerr << "skew query build failed: " << q.status().message() << "\n";
-    std::exit(1);
-  }
-  return std::move(q).value();
-}
-
-int RunSkewMode(JsonOut& json) {
-  Banner("Skew curve: single-hub workload, split 4, stealing off vs on",
-         "§4 stragglers, deployment-side");
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  json.Metric("hardware_concurrency", static_cast<double>(hw));
-
-  const Graph data = BuildSkewGraph(/*num_roots=*/16, /*hub_mids=*/240,
-                                    /*num_tails=*/40, /*leaves_per_tail=*/6);
-  const Graph query = BuildSkewQuery();
-  GraphQlMatcher gql;
-  if (!gql.Prepare(data).ok()) {
-    std::cerr << "prepare failed\n";
-    return 1;
-  }
-  Executor pool(/*num_threads=*/4);
-  const size_t reps = static_cast<size_t>(30 * Scale());
-  std::cout << "skew graph: " << data.num_vertices() << " vertices, "
-            << data.num_edges() << " edges; " << reps
-            << " reps per arm, pool=4 threads\n";
-
-  struct SkewArm {
-    std::vector<double> latencies_ms;
-    uint64_t embeddings = 0;
-    uint64_t tried = 0;
-    uint64_t recursion = 0;
-  };
-  auto run_arm = [&](bool steal_on) {
-    SkewArm a;
-    for (size_t rep = 0; rep < reps; ++rep) {
-      MatchOptions mo;
-      mo.max_embeddings = 1u << 30;  // uncapped: parity must be exact
-      ParallelMatchOptions po;
-      po.split = 4;
-      po.min_slice = 1;
-      po.executor = &pool;
-      if (steal_on) {
-        // Threshold well below the hub subtree but above every light
-        // root's: only the straggler range spills.
-        po.steal = 1000;
-        po.steal_depth = 2;
-        po.steal_queue = 64;
-      }
-      const MatchResult r = MatchParallel(gql, query, mo, po);
-      a.latencies_ms.push_back(r.elapsed_ms());
-      a.embeddings += r.embedding_count;
-      a.tried += r.stats.candidates_tried;
-      a.recursion += r.stats.recursion_nodes;
-    }
-    return a;
-  };
-  const SkewArm off = run_arm(false);
-  const SkewArm on = run_arm(true);
-  RecordLatencyPercentiles(json, "skew_steal_off", off.latencies_ms);
-  RecordLatencyPercentiles(json, "skew_steal_on", on.latencies_ms);
-
-  // Hard parity gate — stealing must never change answers or effort.
-  MatchOptions serial_mo;
-  serial_mo.max_embeddings = 1u << 30;
-  std::vector<Embedding> serial_stream;
-  serial_mo.sink = [&](const Embedding& e) {
-    serial_stream.push_back(e);
-    return true;
-  };
-  const MatchResult serial = gql.Match(query, serial_mo);
-  std::vector<Embedding> steal_stream;
-  MatchOptions stream_mo;
-  stream_mo.max_embeddings = 1u << 30;
-  stream_mo.sink = [&](const Embedding& e) {
-    steal_stream.push_back(e);
-    return true;
-  };
-  ParallelMatchOptions stream_po;
-  stream_po.split = 4;
-  stream_po.min_slice = 1;
-  stream_po.executor = &pool;
-  stream_po.steal = 1000;
-  stream_po.steal_depth = 2;
-  stream_po.steal_queue = 64;
-  const MatchResult stream_r =
-      MatchParallel(gql, query, stream_mo, stream_po);
-  const uint64_t per_rep = serial.embedding_count;
-  json.Metric("skew_embeddings_per_rep", static_cast<double>(per_rep));
-  const bool counter_parity =
-      off.embeddings == per_rep * reps && on.embeddings == per_rep * reps &&
-      off.tried == serial.stats.candidates_tried * reps &&
-      on.tried == serial.stats.candidates_tried * reps &&
-      off.recursion == serial.stats.recursion_nodes * reps &&
-      on.recursion == serial.stats.recursion_nodes * reps;
-  const bool stream_parity = stream_r.embedding_count ==
-                                 serial.embedding_count &&
-                             steal_stream == serial_stream;
-  Shape(counter_parity,
-        "stealing preserves embedding/tried/recursion counters (uncapped)");
-  Shape(stream_parity,
-        "steal-on embedding stream is byte-identical to the serial one");
-  if (!counter_parity || !stream_parity) {
-    std::cerr << "PARITY FAILURE: stealing changed the search outcome\n";
-    return 1;
-  }
-
-  PoolGauges gauges;
-  gql.kernel_stats().AddTo(&gauges);
-  json.Metric("skew_steal_spills", static_cast<double>(gauges.kernel_steal_spills));
-  json.Metric("skew_steal_stolen", static_cast<double>(gauges.kernel_steal_stolen));
-  json.Metric("skew_steal_declined",
-              static_cast<double>(gauges.kernel_steal_declined));
-  std::cout << "steal gauges: spills=" << gauges.kernel_steal_spills
-            << " stolen=" << gauges.kernel_steal_stolen
-            << " declined=" << gauges.kernel_steal_declined << "\n";
-
-  const double p99_off = Percentile(off.latencies_ms, 99.0);
-  const double p99_on = Percentile(on.latencies_ms, 99.0);
-  if (p99_off > 0) {
-    json.Metric("skew_p99_speedup", p99_off / std::max(p99_on, 1e-9));
-    std::cout << "p99 steal-off=" << p99_off << "ms steal-on=" << p99_on
-              << "ms (" << p99_off / std::max(p99_on, 1e-9) << "x)\n";
-  }
-  // The single-hub tree is one range of the split, so without stealing
-  // three of four workers idle; the claim needs real cores to show up.
-  if (hw >= 4) {
-    Shape(p99_on < p99_off,
-          "work stealing improves p99 on the single-hub skewed workload");
-  } else {
-    std::cout << "(skipping p99 shape: only " << hw
-              << " hardware thread(s))\n";
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   JsonOut json("bench_match_parallel", argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--skew") == 0) return RunSkewMode(json);
-  }
   Banner("Intra-query parallel enumeration (split width 1/2/4/8)",
          "§4 stragglers, deployment-side");
 

@@ -121,7 +121,15 @@ int64_t PoolQueueCap() {
 }
 
 std::string PoolOverloadPolicyName() {
-  return EnvString("PSI_POOL_OVERLOAD", "reject");
+  const std::string name = EnvString("PSI_POOL_OVERLOAD", "reject");
+  if (name == "reject" || name == "shed") return name;
+  if (FirstWarningFor("PSI_POOL_OVERLOAD", name.c_str())) {
+    std::fprintf(stderr,
+                 "psi: PSI_POOL_OVERLOAD=\"%s\" is not reject or shed; "
+                 "using reject\n",
+                 name.c_str());
+  }
+  return "reject";
 }
 
 // 0 disables aging; negatives (the old "disable" spelling) clamp to 0, so
@@ -140,7 +148,7 @@ int64_t GuardPeriod() {
   return EnvIntClamped("PSI_GUARD_PERIOD", 256, 1, kCountMax);
 }
 
-bool PlanStaged() { return EnvInt("PSI_PLAN_STAGED", 0) != 0; }
+bool PlanStaged() { return EnvIntClamped("PSI_PLAN_STAGED", 0, 0, 1) != 0; }
 
 int64_t PlanProbePercent() {
   return EnvIntClamped("PSI_PLAN_PROBE_PCT", 10, 1, 100);
@@ -150,7 +158,9 @@ int64_t PlanMinSamples() {
   return EnvIntClamped("PSI_PLAN_MIN_SAMPLES", 8, 0, kCountMax);
 }
 
-bool MatchIndexEnabled() { return EnvInt("PSI_MATCH_INDEX", 1) != 0; }
+bool MatchIndexEnabled() {
+  return EnvIntClamped("PSI_MATCH_INDEX", 1, 0, 1) != 0;
+}
 
 // 0 disables the hub bitsets; negatives clamp to 0 (disabled, as before).
 int64_t MatchBitsetDegree() {
@@ -164,16 +174,6 @@ int64_t MatchSplit() {
 
 int64_t MatchSplitMinSlice() {
   return EnvIntClamped("PSI_MATCH_SPLIT_MIN_SLICE", 8, 1, kCountMax);
-}
-
-// 0 = stealing off; > 0 = local recursion nodes before spilling starts.
-int64_t MatchSteal() {
-  return EnvIntClamped("PSI_MATCH_STEAL", 0, 0,
-                       std::numeric_limits<int64_t>::max() / 2);
-}
-
-int64_t MatchStealDepth() {
-  return EnvIntClamped("PSI_MATCH_STEAL_DEPTH", 1, 1, 8);
 }
 
 bool MatchSimdEnabled() {

@@ -51,7 +51,8 @@ int64_t PoolQueueCap();
 
 /// Load-shedding policy of the shared pool when its bounded queue is full
 /// (PSI_POOL_OVERLOAD): "reject" (default) refuses new tasks, "shed"
-/// evicts the queued task with the latest deadline.
+/// evicts the queued task with the latest deadline. Any other value falls
+/// back to "reject" with a one-line stderr warning.
 std::string PoolOverloadPolicyName();
 
 /// Aging window for deadline-less pool tasks in milliseconds
@@ -71,9 +72,9 @@ int64_t FtvFilterShards();
 /// and, through it, RaceOptions::guard_period.
 int64_t GuardPeriod();
 
-/// Staged racing default for query plans (PSI_PLAN_STAGED, default 0):
-/// non-zero makes QueryPlanner emit probe-then-escalate plans once the
-/// selector is warm. Feeds PsiEngineOptions::staged.
+/// Staged racing default for query plans (PSI_PLAN_STAGED, default 0,
+/// clamped to [0, 1]): 1 makes QueryPlanner emit probe-then-escalate
+/// plans once the selector is warm. Feeds PsiEngineOptions::staged.
 bool PlanStaged();
 
 /// Probe-budget percentage of the full race budget for staged plans
@@ -84,11 +85,11 @@ int64_t PlanProbePercent();
 /// narrow or stage the portfolio (PSI_PLAN_MIN_SAMPLES, default 8).
 int64_t PlanMinSamples();
 
-/// Shared candidate-index matching kernel (PSI_MATCH_INDEX, default 1):
-/// non-zero makes Matcher::Prepare (and the Grapes/GGSX builds) construct
-/// the label-partitioned adjacency + NLF + hub-bitset index of
-/// match/candidate_index.hpp; 0 restores the paper-faithful unindexed
-/// searches. Never changes answers, only effort.
+/// Shared candidate-index matching kernel (PSI_MATCH_INDEX, default 1,
+/// clamped to [0, 1]): 1 makes Matcher::Prepare (and the Grapes/GGSX
+/// builds) construct the label-partitioned adjacency + NLF + hub-bitset
+/// index of match/candidate_index.hpp; 0 restores the paper-faithful
+/// unindexed searches. Never changes answers, only effort.
 bool MatchIndexEnabled();
 
 /// Hub-bitset degree threshold of the candidate index
@@ -111,19 +112,6 @@ int64_t MatchSplit();
 /// width — per-task candidate-building overhead is not worth amortizing
 /// over tiny slices.
 int64_t MatchSplitMinSlice();
-
-/// Work-stealing spill threshold below the root split (PSI_MATCH_STEAL,
-/// default 0 = off): when > 0, a split range task starts spilling
-/// depth-PSI_MATCH_STEAL_DEPTH subtrees into the shared embedding queue
-/// (match/steal.hpp) once it has expanded this many local recursion
-/// nodes, for idle sibling ranges to steal. Never changes answers or the
-/// emitted stream, only wall-clock.
-int64_t MatchSteal();
-
-/// Prefix depth of spilled partial embeddings (PSI_MATCH_STEAL_DEPTH,
-/// default 1, clamped to [1, 8]): subtrees are stolen whole at this depth
-/// of the enumeration order.
-int64_t MatchStealDepth();
 
 /// SIMD kill switch for the multiway intersection kernel (PSI_MATCH_SIMD,
 /// default 1, clamped to [0, 1]): 0 pins the scalar galloping

@@ -136,6 +136,12 @@ Result<Graph> GraphBuilder::Build(std::string name) {
       return Status::InvalidArgument("self-loop at vertex " +
                                      std::to_string(e.u));
     }
+    // EdgeLabel() reports an absent edge with this value, so an edge
+    // carrying it would match non-edges.
+    if (e.label == Graph::kInvalidEdgeLabel) {
+      return Status::InvalidArgument("edge label " + std::to_string(e.label) +
+                                     " is reserved for absent edges");
+    }
   }
   // Normalize to (min,max) and detect duplicates.
   for (auto& e : edges_) {

@@ -112,8 +112,9 @@ class Graph {
 
 /// Accumulates vertices and edges, then emits a validated Graph.
 ///
-/// Self-loops and duplicate edges are rejected at Build() time with
-/// Status::InvalidArgument (Corruption for internal inconsistencies).
+/// Self-loops, duplicate edges and edges labelled Graph::kInvalidEdgeLabel
+/// are rejected at Build() time with Status::InvalidArgument (Corruption
+/// for internal inconsistencies).
 class GraphBuilder {
  public:
   GraphBuilder() = default;

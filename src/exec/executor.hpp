@@ -315,13 +315,6 @@ class TaskGroup {
   /// Returns true when the group drained.
   bool WaitUntil(Deadline::Clock::time_point until);
 
-  /// Runs one of this group's queued tasks on the calling thread, if any
-  /// is waiting; returns whether it ran one. The non-blocking sibling of
-  /// Wait()'s helping loop — a group member that goes idle (e.g. a range
-  /// task draining the work-stealing queue, match/steal.hpp) can pull
-  /// sibling tasks forward instead of sleeping on them.
-  bool HelpOne();
-
   /// Requests cooperative cancellation of all members: running tasks see
   /// it through their CostGuard, queued tasks are fast-cancelled.
   /// (Out of line so the `group.cancel` failpoint can perturb

@@ -39,8 +39,6 @@
 //                            started as kShed so spawners absorb it
 //   group.cancel    kDelay   perturb TaskGroup cancellation timing
 //   race.variant    kThrow   racing variant crashes (psi/racer)
-//   steal.offer     kError   EmbeddingQueue::Spill declines the offer
-//   steal.pop       kDelay   perturb steal timing (never blocks progress)
 //   plan.probe      kError   a staged plan's probe stage misses outright
 //   rewrite.lookup  kMiss    RewriteCache recomputes (purity makes this
 //                            invisible beyond the miss counter)

@@ -169,9 +169,15 @@ Result<GraphDataset> ReadTve(std::istream& in, LabelDict* dict) {
       if (!in_graph) return ParseError(line_no, "'e' before 't'");
       uint32_t u = 0, v = 0;
       if (!(ls >> u >> v)) return ParseError(line_no, "bad 'e' line");
-      uint32_t edge_label = 0;
-      ls >> edge_label;  // optional numeric edge label
-      edges.push_back({u, v, edge_label});
+      // Optional edge label: a decimal below Graph::kInvalidEdgeLabel,
+      // which stands for an absent edge.
+      uint64_t edge_label = 0;
+      std::string token;
+      if (ls >> token && (!ParseUint(token, &edge_label) ||
+                          edge_label >= Graph::kInvalidEdgeLabel)) {
+        return ParseError(line_no, "bad edge label '" + token + "'");
+      }
+      edges.push_back({u, v, static_cast<uint32_t>(edge_label)});
     } else {
       return ParseError(line_no, "unknown tag '" + std::string(1, tag) + "'");
     }

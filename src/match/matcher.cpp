@@ -29,12 +29,6 @@ void MatchKernelStats::AddTo(PoolGauges* g) const {
       split_tasks_inline_.load(std::memory_order_relaxed);
   g->kernel_split_budget_stops +=
       split_budget_stops_.load(std::memory_order_relaxed);
-  g->kernel_steal_spills += steal_spills_.load(std::memory_order_relaxed);
-  g->kernel_steal_stolen += steal_stolen_.load(std::memory_order_relaxed);
-  g->kernel_steal_declined +=
-      steal_declined_.load(std::memory_order_relaxed);
-  g->kernel_steal_queue_full +=
-      steal_queue_full_.load(std::memory_order_relaxed);
 }
 
 void Matcher::PrepareCandidateIndex(const Graph& data) {

@@ -10,7 +10,6 @@
 
 #include "core/env.hpp"
 #include "exec/executor.hpp"
-#include "match/steal.hpp"
 
 namespace psi {
 
@@ -37,9 +36,6 @@ struct SplitShared {
   size_t frontier = 0;      // guarded by mu
   uint64_t committed = 0;   // guarded by mu
   bool budget_hit = false;  // guarded by mu
-  // Per-range pool-run latency (ms; < 0 = not a pool run), feeding the
-  // straggler-spread profile the planner sizes adaptive widths from.
-  std::vector<double> range_ms;  // guarded by mu
   // Monotonic mirrors for the sink-side early-exit hint. Both only grow,
   // and frontier_base reaches its final value for frontier == k before
   // (or atomically with) frontier_idx becoming k, so a task observing
@@ -70,34 +66,12 @@ bool AdvanceFrontierLocked(SplitShared& st, uint64_t cap) {
   return newly_hit;
 }
 
-// MatchSpill adapter binding one owner's Match() call to the shared
-// queue: an accepted offer atomically retargets the owner's sink to the
-// fresh inline segment the queue handed back.
-class RangeSpill final : public MatchSpill {
- public:
-  RangeSpill(EmbeddingQueue& q, uint32_t range, std::vector<Embedding>** cur)
-      : q_(q), range_(range), cur_(cur) {}
-  bool Offer(std::span<const VertexId> prefix) override {
-    std::vector<Embedding>* next = q_.Spill(range_, prefix);
-    if (next == nullptr) return false;
-    *cur_ = next;
-    return true;
-  }
-
- private:
-  EmbeddingQueue& q_;
-  uint32_t range_;
-  std::vector<Embedding>** cur_;
-};
-
 }  // namespace
 
 ParallelMatchOptions ParallelMatchOptions::FromEnv() {
   ParallelMatchOptions po;
   po.split = static_cast<size_t>(MatchSplit());
   po.min_slice = static_cast<size_t>(MatchSplitMinSlice());
-  po.steal = static_cast<size_t>(MatchSteal());
-  po.steal_depth = static_cast<size_t>(MatchStealDepth());
   return po;
 }
 
@@ -132,34 +106,22 @@ MatchResult MatchParallel(const Matcher& matcher, const Graph& query,
   const uint64_t cap = opts.max_embeddings;
   const uint32_t k_total = static_cast<uint32_t>(width);
 
-  // Stealing needs a non-trivial prefix depth below the root: a 1-vertex
-  // query has no subtree to spill.
-  const bool steal_on = po.steal > 0 && query.num_vertices() >= 2;
-  const uint32_t steal_depth =
-      steal_on ? static_cast<uint32_t>(std::clamp<size_t>(
-                     po.steal_depth, 1, query.num_vertices() - 1))
-               : 0;
-
   Executor& exec = po.executor != nullptr ? *po.executor : Executor::Shared();
   TaskGroup group(exec, opts.deadline);
 
   SplitShared st;
   st.ranges.resize(k_total);
-  st.range_ms.assign(k_total, -1.0);
-
-  EmbeddingQueue queue(k_total, std::max<size_t>(1, po.steal_queue));
 
   uint64_t pool_runs = 0;    // guarded by st.mu
   uint64_t inline_runs = 0;  // guarded by st.mu
 
-  // Folds one range's assembled outcome into the shared state; fires the
-  // group fast-cancel when the committed prefix reaches the cap.
-  // Idempotent: the first record for a range wins, any later one is
-  // dropped (defence against a range being recorded twice, e.g. a
-  // partially executed pool run followed by an inline re-run).
+  // Folds one range's outcome into the shared state; fires the group
+  // fast-cancel when the committed prefix reaches the cap. Idempotent: the
+  // first record for a range wins, any later one is dropped (defence
+  // against a range being recorded twice, e.g. a partially executed pool
+  // run followed by an inline re-run).
   auto record_range = [&](uint32_t k, std::vector<Embedding>&& buffer,
-                          const MatchResult& r, bool inline_run,
-                          double pool_ms) {
+                          const MatchResult& r, bool inline_run) {
     bool newly_hit = false;
     {
       std::lock_guard<std::mutex> lock(st.mu);
@@ -169,89 +131,18 @@ MatchResult MatchParallel(const Matcher& matcher, const Graph& query,
       range.result = r;
       range.finished = true;
       inline_run ? ++inline_runs : ++pool_runs;
-      if (!inline_run) st.range_ms[k] = pool_ms;
       newly_hit = AdvanceFrontierLocked(st, cap);
     }
     if (newly_hit) group.RequestStop();
   };
 
-  // Finalizes a steal-mode range once its owner and every spilled unit
-  // finished: reassembles the segments in slot order and records them.
-  auto finalize_steal_range = [&](uint32_t k, double pool_ms) {
-    std::vector<Embedding> buffer;
-    MatchResult merged;
-    queue.Collect(k, &buffer, &merged);
-    record_range(k, std::move(buffer), merged, /*inline_run=*/false,
-                 pool_ms);
-  };
-
-  // Idle-task drain loop: pop spilled units and resume them, helping run
-  // queued sibling range tasks when the queue is momentarily empty. Exits
-  // when no more units can appear (Drained) or the group stopped.
-  auto drain = [&](uint32_t thief_range) {
-    for (;;) {
-      if (group.stop().stop_requested() ||
-          (opts.stop != nullptr && opts.stop->stop_requested())) {
-        return;
-      }
-      StealUnit u;
-      if (queue.TryPop(thief_range, &u)) {
-        MatchOptions mo = opts;
-        mo.root_range = u.range;
-        mo.num_root_ranges = k_total;
-        mo.stop2 = group.stop_token();
-        mo.resume = &u.state;
-        mo.spill = nullptr;  // resumed units never re-spill
-        mo.sink = [&u](const Embedding& e) {
-          u.out->push_back(e);
-          return true;
-        };
-        const MatchResult r = matcher.Match(query, mo);
-        if (queue.UnitDone(u, r)) {
-          finalize_steal_range(u.range, /*pool_ms=*/-1.0);
-        }
-        continue;
-      }
-      if (queue.Drained()) return;
-      // No unit to pop but owners are still running: pull a queued
-      // sibling range task forward rather than sleeping on it — the
-      // guarantee that queued owners eventually run even when every pool
-      // thread sits in a drain loop.
-      if (group.HelpOne()) continue;
-      queue.WaitForWork(std::chrono::milliseconds(1));
-    }
-  };
-
   // Runs range k to completion on the calling thread and folds its
-  // outcome in. Pool runs under stealing route their output through the
-  // segment assembly; inline re-runs (and steal-off runs) use the plain
-  // buffered path.
+  // outcome in.
   auto run_range = [&](uint32_t k, bool inline_run) {
     MatchOptions mo = opts;
     mo.root_range = k;
     mo.num_root_ranges = k_total;
     mo.stop2 = group.stop_token();
-
-    if (steal_on && !inline_run) {
-      std::vector<Embedding>* cur = queue.OpenRange(k);
-      RangeSpill spill(queue, k, &cur);
-      spill.depth = steal_depth;
-      spill.min_nodes = po.steal;
-      mo.spill = &spill;
-      // No early-exit hint here: with segments in flight the range's
-      // local find count no longer bounds its stream position. The
-      // per-call max_embeddings cap still bounds the work.
-      mo.sink = [&cur](const Embedding& e) {
-        cur->push_back(e);
-        return true;
-      };
-      const MatchResult r = matcher.Match(query, mo);
-      if (queue.OwnerDone(k, r)) finalize_steal_range(k, r.elapsed_ms());
-      // Own block done — turn thief until the whole split is drained.
-      drain(k);
-      return;
-    }
-
     uint64_t local = 0;
     std::vector<Embedding> buffer;
     mo.sink = [&st, &local, &buffer, k, cap](const Embedding& e) {
@@ -269,7 +160,7 @@ MatchResult MatchParallel(const Matcher& matcher, const Graph& query,
       return true;
     };
     const MatchResult r = matcher.Match(query, mo);
-    record_range(k, std::move(buffer), r, inline_run, r.elapsed_ms());
+    record_range(k, std::move(buffer), r, inline_run);
   };
 
   // Spawn one task per range, each queued under the call's own deadline
@@ -290,9 +181,7 @@ MatchResult MatchParallel(const Matcher& matcher, const Graph& query,
   // Stop as soon as the merged outcome is determined — committed prefix
   // at the cap, or an earlier range already incomplete (its
   // timeout/cancellation truncates the stream there regardless of what
-  // later ranges would find). A steal-mode range abandoned mid-flight
-  // (units never popped before a stop) is simply unfinished here and
-  // re-runs inline like any displaced range.
+  // later ranges would find).
   for (uint32_t k = 0; k < k_total; ++k) {
     bool run_it = false;
     {
@@ -338,36 +227,17 @@ MatchResult MatchParallel(const Matcher& matcher, const Graph& query,
 
   // Stats fold over every range that actually ran (the primary-range
   // discipline in the matchers makes this equal the serial counters when
-  // the search completed uncapped), noted once per logical call — plus
-  // the straggler profile: max over mean of the pool ranges' latencies,
-  // the signal the planner sizes adaptive split widths from.
+  // the search completed uncapped), noted once per logical call.
   bool budget_hit = false;
-  double spread = 0.0;
   {
     std::lock_guard<std::mutex> lock(st.mu);
     for (const RangeState& r : st.ranges) {
       if (r.finished) out.stats.Add(r.result.stats);
     }
     budget_hit = st.budget_hit;
-    double mx = 0.0, sum = 0.0;
-    size_t n = 0;
-    for (double ms : st.range_ms) {
-      if (ms < 0.0) continue;
-      mx = std::max(mx, ms);
-      sum += ms;
-      ++n;
-    }
-    if (n >= 2 && sum > 0.0) {
-      spread = mx * static_cast<double>(n) / sum;
-    }
   }
   matcher.kernel_stats().Note(out.stats, matcher.candidate_index() != nullptr);
   matcher.kernel_stats().NoteSplit(pool_runs, inline_runs, budget_hit);
-  if (spread >= 1.0) matcher.kernel_stats().NoteRangeSpread(spread);
-  if (steal_on) {
-    matcher.kernel_stats().NoteSteal(queue.spills(), queue.stolen(),
-                                     queue.declined(), queue.queue_full());
-  }
 
   out.elapsed = std::chrono::steady_clock::now() - start;
   return out;

@@ -38,16 +38,6 @@
 // Split-task deadlines ride the per-task EDF path: every range task
 // queues under the call's own MatchOptions::deadline, so a split probe
 // escalation keeps its urgency in a shared pool.
-//
-// Work stealing (steal > 0, match/steal.hpp) extends the same contract
-// *below* the root split: a range task whose local subtree grows past the
-// steal threshold spills whole depth-`steal_depth` subtrees into a
-// bounded per-split EmbeddingQueue, and range tasks that finish their own
-// block pop them and re-enter the matcher mid-search
-// (MatchOptions::resume). Spilled subtrees get output *segments* slotted
-// in DFS discovery order, so reassembling a range's segments in slot
-// order reproduces its serial stream exactly — all three invariants above
-// hold verbatim with stealing on, enforced by tests/match_steal_test.cpp.
 
 #ifndef PSI_MATCH_PARALLEL_HPP_
 #define PSI_MATCH_PARALLEL_HPP_
@@ -72,19 +62,8 @@ struct ParallelMatchOptions {
   size_t min_slice = 8;
   /// Pool the range tasks run on; nullptr = Executor::Shared().
   Executor* executor = nullptr;
-  /// Work stealing below the root split: 0 disables; > 0 is the number
-  /// of local recursion nodes a range task must expand before it starts
-  /// spilling subtrees into the shared embedding queue. Never changes
-  /// the emitted stream or the merged counters, only wall-clock.
-  size_t steal = 0;
-  /// Prefix depth of spilled subtrees (clamped to [1, query size - 1]).
-  size_t steal_depth = 1;
-  /// Bounded capacity of the per-split spill queue (queued, not popped,
-  /// units); offers beyond it are declined and run inline.
-  size_t steal_queue = 64;
 
-  /// split = PSI_MATCH_SPLIT, min_slice = PSI_MATCH_SPLIT_MIN_SLICE,
-  /// steal = PSI_MATCH_STEAL, steal_depth = PSI_MATCH_STEAL_DEPTH.
+  /// split = PSI_MATCH_SPLIT, min_slice = PSI_MATCH_SPLIT_MIN_SLICE.
   static ParallelMatchOptions FromEnv();
 };
 

@@ -3,14 +3,10 @@
 //
 // The engines differ only in matching order, candidate source and
 // per-candidate check. Everything else about a search lives here once:
-//  * the work-stealing spill offer, made before a node is counted;
 //  * depth-0 counting by the primary split range only;
 //  * root-frontier splitting (SplitRootCandidates at depth 0);
-//  * resume by prefix replay;
 //  * multiway (WCOJ) engagement with per-depth scratch;
-//  * query NLF fingerprints, the CostGuard and result assembly;
-//  * the query vertex placed at each depth (`order_`), which is where
-//    spilled prefixes are read from.
+//  * query NLF fingerprints, the CostGuard and result assembly.
 //
 // A matcher derives `class S : public BacktrackSearch<S>` (CRTP: hooks
 // resolve at compile time, the hot loop makes no virtual or std::function
@@ -21,7 +17,8 @@
 //       false = no embedding exists; the search completes empty.
 //   VertexId Next(uint32_t depth);
 //       The query vertex placed at `depth`. Must be a pure function of the
-//       current assignment — prefix replay depends on it.
+//       current assignment — split ranges depend on it to reproduce their
+//       block of the serial stream.
 //   std::span<const VertexId> Source(uint32_t depth, VertexId u);
 //       Candidates for `u` when multiway does not engage.
 //   bool Admit(uint32_t depth, VertexId u, VertexId v, size_t i, bool mw);
@@ -62,22 +59,7 @@ class BacktrackSearch {
       r.complete = true;
       if (opts_.sink) opts_.sink(Embedding{});
     } else {
-      if (self().Prepare()) {
-        uint32_t depth = 0;
-        if (opts_.resume != nullptr) {
-          // Re-enter mid-search: Next() is a pure function of the
-          // assignment, so replaying the spilled prefix reconstructs the
-          // owner's state. The replay is stat-free — the owner counted
-          // the whole path — and the subtree below it runs as usual.
-          for (VertexId v : opts_.resume->prefix) {
-            const VertexId u = self().Next(depth);
-            order_[depth] = u;
-            self().Assign(depth, u, v);
-            ++depth;
-          }
-        }
-        Recurse(depth);
-      }
+      if (self().Prepare()) Recurse(0);
       r.embedding_count = found_;
       r.complete = !guard_.interrupted();
       r.timed_out = guard_.state() == Interrupt::kDeadline;
@@ -117,8 +99,7 @@ class BacktrackSearch {
         index_(index),
         guard_(opts.stop, opts.deadline, opts.guard_period, opts.stop2),
         map_(q.num_vertices(), kInvalidVertex),
-        used_(g.num_vertices(), 0),
-        order_(q.num_vertices(), kInvalidVertex) {
+        used_(g.num_vertices(), 0) {
     if (index_ != nullptr) {
       qnlf_ = CandidateIndex::QueryNlf(q);
       if (ResolveMultiwayEnabled(opts.multiway)) {
@@ -195,21 +176,11 @@ class BacktrackSearch {
       if (opts_.sink && !opts_.sink(map_)) return false;
       return found_ < opts_.max_embeddings;
     }
-    // Work stealing: offer the whole subtree out *before* counting its
-    // node — an accepted offer means this call counts nothing for it and
-    // the thief's resumed call counts exactly what serial would have.
-    if (opts_.spill != nullptr && depth == opts_.spill->depth && depth > 0 &&
-        stats_.recursion_nodes >= opts_.spill->min_nodes) {
-      prefix_.clear();
-      for (uint32_t d = 0; d < depth; ++d) prefix_.push_back(map_[order_[d]]);
-      if (opts_.spill->Offer(prefix_)) return true;
-    }
     // The shared depth-0 node is counted by the primary split range only,
     // so per-range stats merged with MatchStats::Add equal the serial
     // counters exactly.
     if (depth != 0 || opts_.primary_range()) ++stats_.recursion_nodes;
     const VertexId u = self().Next(depth);
-    order_[depth] = u;
 
     // Multiway (WCOJ) extension: with >= 2 matched backward neighbours,
     // intersect all their label slices at once (match/intersect.hpp). The
@@ -248,8 +219,6 @@ class BacktrackSearch {
   }
 
   uint64_t found_ = 0;
-  std::vector<VertexId> order_;      // query vertex placed at each depth
-  std::vector<VertexId> prefix_;     // spill-offer scratch
   bool multiway_ = false;            // only with the index
   SimdLevel simd_ = SimdLevel::kScalar;
   std::vector<MultiwayScratch> mw_;  // one per depth

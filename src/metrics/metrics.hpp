@@ -161,13 +161,9 @@ struct PoolGauges {
   uint64_t kernel_split_tasks = 0;    ///< range tasks run on the pool
   uint64_t kernel_split_tasks_inline = 0;  ///< displaced ranges, run inline
   uint64_t kernel_split_budget_stops = 0;  ///< shared-budget fast-cancels
-  // Work-stealing gauges below the root split (match/steal.hpp).
-  uint64_t kernel_steal_spills = 0;  ///< subtrees spilled into the queue
-  uint64_t kernel_steal_stolen = 0;  ///< spills popped by a sibling range
-  uint64_t kernel_steal_declined = 0;  ///< offers refused (any reason)
-  uint64_t kernel_steal_queue_full = 0;  ///< declines due to capacity —
-                                         ///< the backpressure subset of
-                                         ///< kernel_steal_declined
+  /// Always 0: work stealing below the root split was removed. The field
+  /// stays because psibench reads it (`match.stolen_per_req`).
+  uint64_t kernel_steal_stolen = 0;
 
   // ---- Fault / degradation counters (fault/failpoint.hpp) ----
   //

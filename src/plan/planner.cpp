@@ -1,7 +1,6 @@
 #include "plan/planner.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/env.hpp"
 
@@ -82,29 +81,14 @@ QueryPlan QueryPlanner::Plan(const QueryFeatures& features) const {
     }
     if (options_.split_workers > 1 && !order.empty()) {
       // Probe miss → throw the pool at the predicted winner instead of
-      // widening the race: one split step at the full budget. The width
-      // follows the winner's observed straggler profile (EWMA of
-      // max/mean per-range latency, MatchKernelStats): a spread of s
-      // means the slowest range ran ~s times the mean, so ceil(s)+1
-      // ranges let stealing level it; until a split has reported
-      // (spread 0, or a matcher-less entry) the configured width stands.
-      size_t split_width = options_.split_workers;
-      const Matcher* winner = portfolio_->entries[order[0]].matcher;
-      if (winner != nullptr) {
-        const double spread = winner->kernel_stats().straggler_spread();
-        if (spread > 0.0) {
-          split_width = std::clamp<size_t>(
-              static_cast<size_t>(std::ceil(spread)) + 1, 2,
-              options_.split_workers);
-        }
-      }
+      // widening the race: one split step at the full budget.
       PlanStage split_stage;
       split_stage.budget = options_.budget;
       PlanStep step{order[0], {}};
-      step.split = static_cast<uint32_t>(split_width);
+      step.split = static_cast<uint32_t>(options_.split_workers);
       split_stage.steps.push_back(step);
       plan.name = "staged(top" + std::to_string(probe.steps.size()) +
-                  "->split" + std::to_string(split_width) + ")";
+                  "->split" + std::to_string(options_.split_workers) + ")";
       plan.escalation = EscalationPolicy::kSplit;
       plan.stages.push_back(std::move(probe));
       plan.stages.push_back(std::move(split_stage));

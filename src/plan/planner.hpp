@@ -55,11 +55,8 @@ struct QueryPlannerOptions {
   /// predicted winner across root-range workers"
   /// (EscalationPolicy::kSplit + match/parallel.hpp) instead of widening
   /// to the full race — intra-query parallelism as the straggler answer.
-  /// This is the *ceiling*: once the winner's MatchKernelStats has
-  /// observed a straggler spread from earlier splits, the emitted width
-  /// is clamp(ceil(spread) + 1, 2, split_workers) — a flat profile stops
-  /// paying for idle ranges, a skewed one keeps the full pool. Requires
-  /// `staged`; 0 / 1 keeps the classic full-race escalation.
+  /// The split step runs at this width. Requires `staged`; 0 / 1 keeps
+  /// the classic full-race escalation.
   size_t split_workers = 0;
 
   /// Plan knobs from the environment: PSI_PLAN_STAGED,

@@ -119,6 +119,48 @@ TEST(EdgeLabelMatchTest, AllEnginesRespectEdgeLabels) {
   }
 }
 
+// Graph::EdgeLabel reports an absent edge as kInvalidEdgeLabel, so that
+// value cannot be a real label: a triangle whose closing edge carried it
+// used to embed into a 4-cycle by mapping that edge onto a non-edge
+// wherever the index-off edge check compares labels.
+TEST(EdgeLabelMatchTest, BuildRejectsTheAbsentEdgeLabel) {
+  GraphBuilder db;
+  for (int i = 0; i < 4; ++i) db.AddVertex(0);
+  for (VertexId v = 0; v < 4; ++v) db.AddEdge(v, (v + 1) % 4, 1);
+  const Graph g = std::move(*db.Build("c4"));
+  ASSERT_EQ(g.EdgeLabel(0, 2), Graph::kInvalidEdgeLabel);
+
+  auto triangle = [](LabelId closing) {
+    GraphBuilder qb;
+    for (int i = 0; i < 3; ++i) qb.AddVertex(0);
+    qb.AddEdge(0, 1, 1);
+    qb.AddEdge(1, 2, 1);
+    qb.AddEdge(0, 2, closing);
+    return qb.Build("tri");
+  };
+  const auto bad = triangle(Graph::kInvalidEdgeLabel);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), Status::Code::kInvalidArgument)
+      << bad.status().ToString();
+
+  // A real closing label still builds, and no engine embeds the triangle
+  // into the 4-cycle with the candidate index pinned off.
+  const auto good = triangle(1);
+  ASSERT_TRUE(good.ok());
+  std::vector<std::unique_ptr<Matcher>> engines;
+  engines.push_back(std::make_unique<Vf2Matcher>());
+  engines.push_back(std::make_unique<QuickSiMatcher>());
+  engines.push_back(std::make_unique<GraphQlMatcher>());
+  engines.push_back(std::make_unique<SPathMatcher>());
+  MatchOptions all;
+  all.max_embeddings = UINT64_MAX;
+  for (auto& m : engines) {
+    m->set_candidate_index(nullptr);
+    ASSERT_TRUE(m->Prepare(g).ok());
+    EXPECT_EQ(m->Match(*good, all).embedding_count, 0u) << m->name();
+  }
+}
+
 TEST(EdgeLabelMatchTest, EnginesAgreeWithOracleOnLabelledGraphs) {
   gen::LargeGraphOptions o;
   o.num_vertices = 20;

@@ -165,21 +165,58 @@ TEST(EnvClampTest, MultiwayAndSimdKnobs) {
   unsetenv("PSI_MATCH_MULTIWAY");
 }
 
-TEST(EnvClampTest, StealKnobs) {
-  unsetenv("PSI_MATCH_STEAL");
-  unsetenv("PSI_MATCH_STEAL_DEPTH");
-  EXPECT_EQ(MatchSteal(), 0);       // off by default
-  EXPECT_EQ(MatchStealDepth(), 1);  // shallowest spill by default
+TEST(EnvClampTest, IndexAndStagedBooleansWarnOnNonsense) {
+  unsetenv("PSI_MATCH_INDEX");
+  unsetenv("PSI_PLAN_STAGED");
+  EXPECT_TRUE(MatchIndexEnabled());  // documented defaults
+  EXPECT_FALSE(PlanStaged());
+  setenv("PSI_MATCH_INDEX", "0", 1);
+  setenv("PSI_PLAN_STAGED", "1", 1);
   testing::internal::CaptureStderr();
-  setenv("PSI_MATCH_STEAL", "5000", 1);
-  setenv("PSI_MATCH_STEAL_DEPTH", "99", 1);
-  EXPECT_EQ(MatchSteal(), 5000);
-  EXPECT_EQ(MatchStealDepth(), 8);  // clamped to the documented [1, 8]
-  setenv("PSI_MATCH_STEAL_DEPTH", "0", 1);
-  EXPECT_EQ(MatchStealDepth(), 1);
-  (void)testing::internal::GetCapturedStderr();
-  unsetenv("PSI_MATCH_STEAL");
-  unsetenv("PSI_MATCH_STEAL_DEPTH");
+  EXPECT_FALSE(MatchIndexEnabled());
+  EXPECT_TRUE(PlanStaged());
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  // A word is not an integer: the default stands and the variable is
+  // named on stderr, instead of "off" silently keeping the index on.
+  setenv("PSI_MATCH_INDEX", "off", 1);
+  setenv("PSI_PLAN_STAGED", "yes", 1);
+  testing::internal::CaptureStderr();
+  EXPECT_TRUE(MatchIndexEnabled());
+  EXPECT_FALSE(PlanStaged());
+  std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("PSI_MATCH_INDEX"), std::string::npos) << err;
+  EXPECT_NE(err.find("PSI_PLAN_STAGED"), std::string::npos) << err;
+  // Out of [0, 1] clamps to the nearest bound, with a warning.
+  setenv("PSI_MATCH_INDEX", "-1", 1);
+  setenv("PSI_PLAN_STAGED", "7", 1);
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(MatchIndexEnabled());
+  EXPECT_TRUE(PlanStaged());
+  err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("PSI_MATCH_INDEX"), std::string::npos) << err;
+  EXPECT_NE(err.find("PSI_PLAN_STAGED"), std::string::npos) << err;
+  unsetenv("PSI_MATCH_INDEX");
+  unsetenv("PSI_PLAN_STAGED");
+}
+
+TEST(EnvClampTest, UnknownOverloadPolicyWarnsOnceAndRejects) {
+  unsetenv("PSI_POOL_OVERLOAD");
+  EXPECT_EQ(PoolOverloadPolicyName(), "reject");
+  setenv("PSI_POOL_OVERLOAD", "shed", 1);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(PoolOverloadPolicyName(), "shed");
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  setenv("PSI_POOL_OVERLOAD", "drop-oldest", 1);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(PoolOverloadPolicyName(), "reject");
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("PSI_POOL_OVERLOAD"), std::string::npos) << err;
+  EXPECT_NE(err.find("drop-oldest"), std::string::npos) << err;
+  // Once per (variable, value): a second read stays silent.
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(PoolOverloadPolicyName(), "reject");
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  unsetenv("PSI_POOL_OVERLOAD");
 }
 
 }  // namespace
