@@ -8,6 +8,9 @@
 //    component sets), for Grapes and GGSX alike, under any shard count
 //    and under admission-control displacement. PSI_TEST_SEEDS overrides
 //    the seed count (default 100; CI's TSan job runs fewer).
+//  * Census oracle: the serial filter's candidates must equal ones
+//    computed without any trie, from per-component label-path counts
+//    (CollectQueryPaths over each extracted component).
 //  * Soundness oracle: no pruned graph may embed the query (first-match
 //    VF2 as ground truth).
 //  * 8-client stress: concurrent FilterSharded calls and kPool engine
@@ -21,12 +24,16 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "core/env.hpp"
+#include "core/graph_algos.hpp"
 #include "ftv/filter_shards.hpp"
 #include "gen/dataset_gen.hpp"
 #include "gen/query_gen.hpp"
@@ -74,6 +81,71 @@ std::vector<gen::Query> MakeQueries(const GraphDataset& ds, uint64_t seed) {
   const uint32_t num_edges = 3 + static_cast<uint32_t>(seed % 4);  // 3..6
   auto w = gen::GenerateWorkload(ds, /*count=*/3, num_edges, seed * 104729);
   return w.ok() ? std::move(w).value() : std::vector<gen::Query>{};
+}
+
+// ---- Census oracle: expected candidates without any trie ---------------
+
+/// Label-path counts of every component of every stored graph:
+/// census[gid][c] maps a label sequence to its count in component c.
+using PathCensus =
+    std::vector<std::vector<std::map<std::vector<LabelId>, uint32_t>>>;
+
+PathCensus TakeCensus(const GraphDataset& ds, uint32_t max_edges) {
+  PathCensus census(ds.size());
+  for (uint32_t gid = 0; gid < ds.size(); ++gid) {
+    const Graph& g = ds.graph(gid);
+    for (uint32_t c = 0; c < g.NumComponents(); ++c) {
+      auto comp = ExtractComponent(g, c);
+      EXPECT_TRUE(comp.ok());
+      auto& counts = census[gid].emplace_back();
+      for (QueryPath& qp : CollectQueryPaths(*comp, max_edges)) {
+        counts.emplace(std::move(qp.labels), qp.count);
+      }
+    }
+  }
+  return census;
+}
+
+/// The filter's contract restated over the census. A graph survives when
+/// its count (summed over components) covers every query path's count.
+/// With `narrow` (Grapes) and a connected query — which has at least one
+/// path — its components are those holding every query path, and an
+/// empty intersection drops it; otherwise it keeps all its components.
+std::vector<GrapesCandidate> CensusFilter(const PathCensus& census,
+                                          const Graph& query,
+                                          uint32_t max_edges, bool narrow) {
+  const std::vector<QueryPath> paths = CollectQueryPaths(query, max_edges);
+  narrow = narrow && query.NumComponents() == 1;
+  std::vector<GrapesCandidate> out;
+  for (uint32_t gid = 0; gid < census.size(); ++gid) {
+    const auto& comps = census[gid];
+    std::vector<uint32_t> holding(comps.size());
+    std::iota(holding.begin(), holding.end(), 0u);
+    bool covers = true;
+    for (const QueryPath& qp : paths) {
+      uint32_t total = 0;
+      std::vector<uint32_t> here;
+      for (uint32_t c = 0; c < comps.size(); ++c) {
+        const auto it = comps[c].find(qp.labels);
+        if (it == comps[c].end()) continue;
+        total += it->second;
+        here.push_back(c);
+      }
+      if (total < qp.count) {
+        covers = false;
+        break;
+      }
+      if (narrow) {
+        std::vector<uint32_t> both;
+        std::set_intersection(holding.begin(), holding.end(), here.begin(),
+                              here.end(), std::back_inserter(both));
+        holding = std::move(both);
+      }
+    }
+    if (!covers || (narrow && holding.empty())) continue;
+    out.push_back(GrapesCandidate{gid, std::move(holding)});
+  }
+  return out;
 }
 
 void ExpectSameCandidates(const std::vector<GrapesCandidate>& serial,
@@ -161,6 +233,8 @@ TEST_F(FtvParallelFilterTest, ShardedGrapesFilterMatchesSerialAcrossSeeds) {
     const GraphDataset ds = MakeCollection(seed);
     GrapesIndex serial;  // default options: single trie, serial filter
     ASSERT_TRUE(serial.Build(ds).ok());
+    const uint32_t max_edges = serial.options().max_path_edges;
+    const PathCensus census = TakeCensus(ds, max_edges);
 
     GrapesOptions sharded_opts;
     sharded_opts.filter_shards = 2 + seed % 4;  // 2..5 shards
@@ -171,6 +245,9 @@ TEST_F(FtvParallelFilterTest, ShardedGrapesFilterMatchesSerialAcrossSeeds) {
 
     for (const gen::Query& q : MakeQueries(ds, seed)) {
       const auto base = serial.Filter(q.graph);
+      ExpectSameCandidates(
+          CensusFilter(census, q.graph, max_edges, /*narrow=*/true), base,
+          seed, "census");
       ExpectSameCandidates(base, sharded.FilterSharded(q.graph), seed,
                            "FilterSharded");
       // The sharded index's serial walk must agree too.
@@ -188,6 +265,8 @@ TEST_F(FtvParallelFilterTest, ShardedGgsxFilterMatchesSerialAcrossSeeds) {
     const GraphDataset ds = MakeCollection(seed);
     GgsxIndex serial;
     ASSERT_TRUE(serial.Build(ds).ok());
+    const uint32_t max_edges = serial.options().max_path_edges;
+    const PathCensus census = TakeCensus(ds, max_edges);
 
     GgsxOptions sharded_opts;
     sharded_opts.filter_shards = 2 + seed % 3;
@@ -197,6 +276,12 @@ TEST_F(FtvParallelFilterTest, ShardedGgsxFilterMatchesSerialAcrossSeeds) {
 
     for (const gen::Query& q : MakeQueries(ds, seed)) {
       const auto base = serial.Filter(q.graph);
+      std::vector<uint32_t> expected;
+      for (const GrapesCandidate& c :
+           CensusFilter(census, q.graph, max_edges, /*narrow=*/false)) {
+        expected.push_back(c.graph_id);
+      }
+      EXPECT_EQ(expected, base) << "census, seed=" << seed;
       EXPECT_EQ(base, sharded.FilterSharded(q.graph)) << "seed=" << seed;
       EXPECT_EQ(base, sharded.Filter(q.graph)) << "seed=" << seed;
     }
