@@ -112,21 +112,21 @@ std::vector<uint8_t> RunShardTasks(Executor* executor, Deadline deadline,
 }
 
 std::vector<size_t> ProbeOrder(
-    std::span<const std::map<uint32_t, PathPosting>* const> postings) {
+    std::span<const std::span<const PathPosting>> postings) {
   std::vector<size_t> order(postings.size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return postings[a]->size() < postings[b]->size();
+    return postings[a].size() < postings[b].size();
   });
   return order;
 }
 
 std::vector<PathTrie> BuildShardTries(const GraphDataset& dataset,
                                       uint32_t max_path_edges,
-                                      bool store_locations,
+                                      bool with_components,
                                       std::span<const ShardRange> ranges,
                                       Executor* executor, Deadline deadline) {
-  std::vector<PathTrie> tries(ranges.size(), PathTrie(store_locations));
+  std::vector<PathTrie> tries(ranges.size(), PathTrie(with_components));
   RunShardTasks(executor, deadline, ranges.size(), [&](size_t si) {
     for (uint32_t gid = ranges[si].begin; gid < ranges[si].end; ++gid) {
       tries[si].AddGraph(gid, dataset.graph(gid), max_path_edges);

@@ -19,19 +19,22 @@
 // the pool and the shard tries are identical to what a serial build of
 // each range would produce (a fixed graph yields a deterministic trie).
 //
-// Grapes and GGSX both sit on this layer (grapes/grapes.hpp,
-// ggsx/ggsx.hpp); the engine-specific per-graph decision kernels stay in
-// their own modules.
+// A single-shard index is the one-range case: one trie over every graph.
+// Both engines filter any (trie, graph-id range) with the same merge join
+// over gid-sorted postings (ForEachCoveringGraph); only what a covering
+// graph turns into — a gid for GGSX, a gid with its components for
+// Grapes — stays in the engine modules (grapes/grapes.hpp, ggsx/ggsx.hpp).
 
 #ifndef PSI_FTV_FILTER_SHARDS_HPP_
 #define PSI_FTV_FILTER_SHARDS_HPP_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iterator>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -120,12 +123,65 @@ std::vector<uint8_t> RunShardTasks(Executor* executor, Deadline deadline,
                                    size_t num_shards,
                                    const std::function<void(size_t)>& body);
 
-/// Probe order for a per-graph filter conjunction: rarest path first
-/// (smallest postings map), stable on ties so the early-exit pattern is
-/// deterministic. The conjunction itself is order-independent, so any
-/// order yields the same candidate set.
+/// Probe order for the filter's merge join: rarest path first (fewest
+/// postings), stable on ties so the early-exit pattern is deterministic.
+/// The conjunction itself is order-independent, so any order yields the
+/// same candidate set.
 std::vector<size_t> ProbeOrder(
-    std::span<const std::map<uint32_t, PathPosting>* const> postings);
+    std::span<const std::span<const PathPosting>> postings);
+
+/// The path filter over the graph ids of `range` in `trie`: calls
+/// `visit(graph_id, held)` for every graph whose count covers every query
+/// path's, in ascending graph id. `held[i]` is the graph's component ids
+/// for query_paths[i] (empty when the trie keeps none). Each path's
+/// postings are clipped to the range and merged rarest first; a path
+/// absent from the range ends the filter at once. With no query path
+/// every graph in the range is visited with an empty `held`.
+template <typename Visit>
+void ForEachCoveringGraph(const PathTrie& trie, ShardRange range,
+                          std::span<const QueryPath> query_paths,
+                          Visit&& visit) {
+  const size_t n = query_paths.size();
+  std::vector<std::span<const uint32_t>> held(n);
+  if (n == 0) {
+    for (uint32_t gid = range.begin; gid < range.end; ++gid) {
+      visit(gid, std::span<const std::span<const uint32_t>>(held));
+    }
+    return;
+  }
+  std::vector<const PostingList*> lists(n);
+  std::vector<std::span<const PathPosting>> runs(n);
+  for (size_t i = 0; i < n; ++i) {
+    lists[i] = trie.Find(query_paths[i].labels);
+    if (lists[i] == nullptr) return;
+    runs[i] = lists[i]->Clip(range.begin, range.end);
+    if (runs[i].empty()) return;
+  }
+  const std::vector<size_t> order = ProbeOrder(runs);
+  const size_t lead = order[0];
+  std::vector<size_t> cursor(n, 0);
+  for (const PathPosting& p : runs[lead]) {
+    if (p.count < query_paths[lead].count) continue;
+    held[lead] = lists[lead]->ComponentsOf(p);
+    bool covers = true;
+    for (size_t k = 1; k < n && covers; ++k) {
+      const size_t pi = order[k];
+      const std::span<const PathPosting> run = runs[pi];
+      const auto it = std::lower_bound(
+          run.begin() + static_cast<std::ptrdiff_t>(cursor[pi]), run.end(),
+          p.graph_id, [](const PathPosting& q, uint32_t gid) {
+            return q.graph_id < gid;
+          });
+      cursor[pi] = static_cast<size_t>(it - run.begin());
+      covers = it != run.end() && it->graph_id == p.graph_id &&
+               it->count >= query_paths[pi].count;
+      if (covers) held[pi] = lists[pi]->ComponentsOf(*it);
+    }
+    if (covers) {
+      visit(p.graph_id, std::span<const std::span<const uint32_t>>(held));
+    }
+  }
+}
 
 /// Builds one PathTrie per shard range, each indexing only its own graphs,
 /// as one TaskGroup on `executor` (nullptr = the shared pool; the group
@@ -135,7 +191,7 @@ std::vector<size_t> ProbeOrder(
 /// build is inline and never touches the executor.
 std::vector<PathTrie> BuildShardTries(const GraphDataset& dataset,
                                       uint32_t max_path_edges,
-                                      bool store_locations,
+                                      bool with_components,
                                       std::span<const ShardRange> ranges,
                                       Executor* executor,
                                       Deadline deadline = Deadline());

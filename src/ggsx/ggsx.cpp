@@ -1,6 +1,5 @@
 #include "ggsx/ggsx.hpp"
 
-#include <algorithm>
 #include <chrono>
 
 #include "match/candidate_index.hpp"
@@ -10,22 +9,14 @@ namespace psi {
 
 Status GgsxIndex::Build(const GraphDataset& dataset) {
   dataset_ = &dataset;
-  trie_ = PathTrie(/*store_locations=*/false);
-  shard_ranges_.clear();
-  shard_tries_.clear();
+  // One trie per contiguous graph-id range (ftv/filter_shards.hpp); a
+  // single range builds inline, single-threaded as the original.
   const uint32_t shards = ResolveFilterShards(
       options_.filter_shards, dataset.size(), options_.executor);
-  if (shards <= 1) {
-    for (uint32_t gid = 0; gid < dataset.size(); ++gid) {
-      trie_.AddGraph(gid, dataset.graph(gid), options_.max_path_edges);
-    }
-  } else {
-    shard_ranges_ = ComputeShardRanges(dataset.size(), shards);
-    shard_tries_ =
-        BuildShardTries(dataset, options_.max_path_edges,
-                        /*store_locations=*/false, shard_ranges_,
-                        options_.executor);
-  }
+  shard_ranges_ = ComputeShardRanges(dataset.size(), shards);
+  shard_tries_ = BuildShardTries(dataset, options_.max_path_edges,
+                                 /*with_components=*/false, shard_ranges_,
+                                 options_.executor);
   // One shared candidate index per stored graph for the verification
   // stage (untimed, like the trie build — paper §3.2).
   const bool kernel = ResolveKernelEnabled(options_.candidate_index);
@@ -41,60 +32,19 @@ Status GgsxIndex::Build(const GraphDataset& dataset) {
 
 std::vector<uint32_t> GgsxIndex::FilterShard(
     std::span<const QueryPath> query_paths, uint32_t shard) const {
-  const PathTrie& trie = shard_tries_[shard];
-  const ShardRange range = shard_ranges_[shard];
   std::vector<uint32_t> out;
-
-  // A path absent from the shard's trie kills the whole shard.
-  std::vector<const std::map<uint32_t, PathPosting>*> postings;
-  postings.reserve(query_paths.size());
-  for (const QueryPath& qp : query_paths) {
-    const auto* p = trie.Find(qp.labels);
-    if (p == nullptr) return out;
-    postings.push_back(p);
-  }
-  const std::vector<size_t> order = ProbeOrder(postings);
-
-  for (uint32_t gid = range.begin; gid < range.end; ++gid) {
-    bool alive = true;
-    for (size_t pi : order) {
-      const auto it = postings[pi]->find(gid);
-      if (it == postings[pi]->end() ||
-          it->second.count < query_paths[pi].count) {
-        alive = false;
-        break;
-      }
-    }
-    if (alive) out.push_back(gid);
-  }
+  ForEachCoveringGraph(
+      shard_tries_[shard], shard_ranges_[shard], query_paths,
+      [&](uint32_t gid, auto /*held*/) { out.push_back(gid); });
   return out;
 }
 
 std::vector<uint32_t> GgsxIndex::Filter(const Graph& query) const {
-  const auto query_paths = CollectQueryPaths(query, options_.max_path_edges);
-
-  if (!shard_tries_.empty()) {
-    std::vector<uint32_t> out;
-    for (uint32_t si = 0; si < shard_tries_.size(); ++si) {
-      const auto part = FilterShard(query_paths, si);
-      out.insert(out.end(), part.begin(), part.end());
-    }
-    return out;
-  }
-
-  std::vector<uint8_t> alive(dataset_->size(), 1);
-  for (const QueryPath& qp : query_paths) {
-    const auto* postings = trie_.Find(qp.labels);
-    if (postings == nullptr) return {};
-    std::vector<uint8_t> next_alive(dataset_->size(), 0);
-    for (const auto& [gid, posting] : *postings) {
-      if (alive[gid] && posting.count >= qp.count) next_alive[gid] = 1;
-    }
-    alive.swap(next_alive);
-  }
+  const auto query_paths = CollectPaths(query);
   std::vector<uint32_t> out;
-  for (uint32_t gid = 0; gid < dataset_->size(); ++gid) {
-    if (alive[gid]) out.push_back(gid);
+  for (uint32_t si = 0; si < shard_tries_.size(); ++si) {
+    const auto part = FilterShard(query_paths, si);
+    out.insert(out.end(), part.begin(), part.end());
   }
   return out;
 }
@@ -106,7 +56,7 @@ std::vector<uint32_t> GgsxIndex::FilterSharded(const Graph& query,
     return RunSerialFilterFallback(filter_stats_, total,
                                    [&] { return Filter(query); });
   }
-  const auto query_paths = CollectQueryPaths(query, options_.max_path_edges);
+  const auto query_paths = CollectPaths(query);
   return RunShardedFilter<uint32_t>(
       options_.executor, deadline, shard_tries_.size(), total,
       filter_stats_, [&](size_t si) {

@@ -7,6 +7,10 @@
 // expose (GGSX pays for the missing locations with far larger verification
 // search spaces).
 //
+// The trie (ftv/path_index.hpp) keeps per-graph counts with empty
+// component ranges, and the filter is the merge join Grapes runs too
+// (ForEachCoveringGraph), without the component step.
+//
 // Beyond the paper, the index supports the same sharded filter stage as
 // Grapes (ftv/filter_shards.hpp): `filter_shards != 1` splits the
 // collection into per-range tries and FilterSharded prunes the shards
@@ -53,9 +57,8 @@ struct GgsxOptions {
 
 class GgsxIndex {
  public:
-  GgsxIndex() : trie_(/*store_locations=*/false) {}
-  explicit GgsxIndex(const GgsxOptions& options)
-      : options_(options), trie_(/*store_locations=*/false) {}
+  GgsxIndex() = default;
+  explicit GgsxIndex(const GgsxOptions& options) : options_(options) {}
 
   /// Indexes the dataset (single-threaded when single-shard, as the
   /// original; per-range shard tries built on the pool otherwise).
@@ -76,7 +79,8 @@ class GgsxIndex {
     return CollectQueryPaths(query, options_.max_path_edges);
   }
 
-  /// Filters one shard of a sharded index on the calling thread.
+  /// Filters one shard on the calling thread (shard 0 of a single-shard
+  /// index is the whole collection); ascending graph ids.
   std::vector<uint32_t> FilterShard(std::span<const QueryPath> query_paths,
                                     uint32_t shard) const;
 
@@ -86,9 +90,8 @@ class GgsxIndex {
 
   const GraphDataset* dataset() const { return dataset_; }
   const GgsxOptions& options() const { return options_; }
-  /// The single global trie; only populated on single-shard indexes.
-  const PathTrie& trie() const { return trie_; }
-  /// Number of filter shards; 0 on a single-shard (serial) index.
+  /// Number of filter shards, each with its own trie: 1 on a single-shard
+  /// index, 0 before Build or over an empty collection.
   size_t num_filter_shards() const { return shard_tries_.size(); }
   std::span<const ShardRange> shard_ranges() const { return shard_ranges_; }
   FilterStageStats& filter_stats() const { return filter_stats_; }
@@ -102,7 +105,6 @@ class GgsxIndex {
 
  private:
   GgsxOptions options_;
-  PathTrie trie_;
   std::vector<ShardRange> shard_ranges_;
   std::vector<PathTrie> shard_tries_;
   mutable FilterStageStats filter_stats_;

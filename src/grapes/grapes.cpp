@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <set>
+#include <iterator>
+#include <numeric>
 #include <thread>
 
 #include "core/graph_algos.hpp"
@@ -12,73 +13,37 @@
 
 namespace psi {
 
-namespace {
-
-/// dst <- dst ∩ src; both sorted ascending.
-void IntersectSorted(std::vector<uint32_t>* dst,
-                     const std::vector<uint32_t>& src) {
-  auto out = dst->begin();
-  auto a = dst->begin();
-  auto b = src.begin();
-  while (a != dst->end() && b != src.end()) {
-    if (*a < *b) {
-      ++a;
-    } else if (*b < *a) {
-      ++b;
-    } else {
-      *out++ = *a;
-      ++a;
-      ++b;
-    }
-  }
-  dst->erase(out, dst->end());
-}
-
-}  // namespace
-
 Status GrapesIndex::Build(const GraphDataset& dataset) {
   dataset_ = &dataset;
-  trie_ = PathTrie(/*store_locations=*/true);
-  shard_ranges_.clear();
-  shard_tries_.clear();
-
   const uint32_t shards = ResolveFilterShards(
       options_.filter_shards, dataset.size(), options_.executor);
-  if (shards <= 1) {
-    const uint32_t threads =
-        std::max<uint32_t>(1, std::min<uint32_t>(options_.num_threads,
-                                                 dataset.size()
-                                                     ? dataset.size()
-                                                     : 1));
-    if (threads == 1) {
-      for (uint32_t gid = 0; gid < dataset.size(); ++gid) {
-        trie_.AddGraph(gid, dataset.graph(gid), options_.max_path_edges);
-      }
-    } else {
-      // Shard graphs across local tries, then merge (trie insertion is not
-      // thread-safe; local tries keep the hot loop lock-free).
-      std::vector<PathTrie> locals(threads, PathTrie(true));
-      std::vector<std::thread> workers;
-      for (uint32_t t = 0; t < threads; ++t) {
-        workers.emplace_back([&, t] {
-          for (uint32_t gid = t; gid < dataset.size(); gid += threads) {
-            locals[t].AddGraph(gid, dataset.graph(gid),
-                               options_.max_path_edges);
-          }
-        });
-      }
-      for (auto& w : workers) w.join();
-      for (const PathTrie& local : locals) trie_.Merge(local);
+  shard_ranges_ = ComputeShardRanges(dataset.size(), shards);
+  const uint32_t threads =
+      std::min<uint32_t>(options_.num_threads, dataset.size());
+  if (shards <= 1 && threads > 1) {
+    // Grapes/N: shard graphs across local tries, then merge them into one
+    // (trie insertion is not thread-safe; local tries keep the hot loop
+    // lock-free).
+    std::vector<PathTrie> locals(threads, PathTrie(/*with_components=*/true));
+    std::vector<std::thread> workers;
+    for (uint32_t t = 0; t < threads; ++t) {
+      workers.emplace_back([&, t] {
+        for (uint32_t gid = t; gid < dataset.size(); gid += threads) {
+          locals[t].AddGraph(gid, dataset.graph(gid),
+                             options_.max_path_edges);
+        }
+      });
     }
+    for (auto& w : workers) w.join();
+    for (uint32_t t = 1; t < threads; ++t) locals[0].Merge(locals[t]);
+    locals.erase(locals.begin() + 1, locals.end());
+    shard_tries_ = std::move(locals);
   } else {
-    // Filter-sharded index: one trie per contiguous graph-id range, built
-    // as one TaskGroup on the pool (ftv/filter_shards.hpp). No merged
-    // global trie — the shards *are* the index.
-    shard_ranges_ = ComputeShardRanges(dataset.size(), shards);
-    shard_tries_ =
-        BuildShardTries(dataset, options_.max_path_edges,
-                        /*store_locations=*/true, shard_ranges_,
-                        options_.executor);
+    // One trie per contiguous graph-id range, built as one TaskGroup on the
+    // pool (ftv/filter_shards.hpp); a single range builds inline.
+    shard_tries_ = BuildShardTries(dataset, options_.max_path_edges,
+                                   /*with_components=*/true, shard_ranges_,
+                                   options_.executor);
   }
 
   // Cache component subgraphs for the verification stage, each with its
@@ -111,148 +76,46 @@ Status GrapesIndex::Build(const GraphDataset& dataset) {
 std::vector<GrapesCandidate> GrapesIndex::FilterShard(
     const Graph& query, std::span<const QueryPath> query_paths,
     uint32_t shard) const {
-  const PathTrie& trie = shard_tries_[shard];
-  const ShardRange range = shard_ranges_[shard];
+  // A connected query must embed inside one component, so a candidate
+  // keeps only the components that hold every query path, and none left
+  // drops the graph; a graph with one component needs no intersection. A
+  // disconnected (or empty) query keeps every component (see
+  // VerifyCandidate).
+  const bool narrow = query.NumComponents() == 1;
   std::vector<GrapesCandidate> out;
-
-  // One trie walk per path up front; a path absent from the shard's trie
-  // kills the whole shard (no stored graph in the range can cover it) —
-  // the shard-level short-circuit the global trie cannot offer.
-  std::vector<const std::map<uint32_t, PathPosting>*> postings;
-  postings.reserve(query_paths.size());
-  for (const QueryPath& qp : query_paths) {
-    const auto* p = trie.Find(qp.labels);
-    if (p == nullptr) return out;
-    postings.push_back(p);
-  }
-  const std::vector<size_t> order = ProbeOrder(postings);
-
-  // A connected query must embed inside one component, so the component
-  // sets of its paths are intersected; a disconnected (or empty) query
-  // falls back to all components (see VerifyCandidate).
-  const bool connected = query.NumComponents() <= 1;
-  std::vector<uint32_t> comps, here;
-  const std::vector<uint32_t> no_comps;
-  for (uint32_t gid = range.begin; gid < range.end; ++gid) {
-    bool alive = true;
-    bool comps_initialized = false;
-    const std::vector<uint32_t>& comp_of =
-        connected ? dataset_->graph(gid).ComponentIds() : no_comps;
-    for (size_t pi : order) {
-      const auto it = postings[pi]->find(gid);
-      if (it == postings[pi]->end() ||
-          it->second.count < query_paths[pi].count) {
-        alive = false;
-        break;
-      }
-      if (!connected) continue;
-      here.clear();
-      for (VertexId loc : it->second.locations) {
-        here.push_back(comp_of[loc]);
-      }
-      std::sort(here.begin(), here.end());
-      here.erase(std::unique(here.begin(), here.end()), here.end());
-      if (!comps_initialized) {
-        comps = here;
-        comps_initialized = true;
-      } else {
-        IntersectSorted(&comps, here);
-      }
-      if (comps.empty()) {
-        alive = false;
-        break;
-      }
-    }
-    if (!alive) continue;
-    GrapesCandidate c;
-    c.graph_id = gid;
-    if (connected && comps_initialized) {
-      c.components = comps;
-    } else {
-      c.components.reserve(components_[gid].size());
-      for (uint32_t i = 0; i < components_[gid].size(); ++i) {
-        c.components.push_back(i);
-      }
-    }
-    out.push_back(std::move(c));
-  }
+  std::vector<uint32_t> both;
+  ForEachCoveringGraph(
+      shard_tries_[shard], shard_ranges_[shard], query_paths,
+      [&](uint32_t gid, std::span<const std::span<const uint32_t>> held) {
+        const auto ncomp = static_cast<uint32_t>(components_[gid].size());
+        GrapesCandidate c{gid, {}};
+        if (narrow && ncomp > 1) {
+          c.components.assign(held[0].begin(), held[0].end());
+          for (size_t i = 1; i < held.size() && !c.components.empty(); ++i) {
+            both.clear();
+            std::set_intersection(c.components.begin(), c.components.end(),
+                                  held[i].begin(), held[i].end(),
+                                  std::back_inserter(both));
+            c.components.swap(both);
+          }
+          if (c.components.empty()) return;
+        } else {
+          c.components.resize(ncomp);
+          std::iota(c.components.begin(), c.components.end(), 0u);
+        }
+        out.push_back(std::move(c));
+      });
   return out;
 }
 
 std::vector<GrapesCandidate> GrapesIndex::Filter(const Graph& query) const {
-  const auto query_paths =
-      CollectQueryPaths(query, options_.max_path_edges);
-
-  if (!shard_tries_.empty()) {
-    // Sharded index, serial walk: shard results concatenated in range
-    // order are globally gid-ascending, the same order the single-trie
-    // filter below produces.
-    std::vector<GrapesCandidate> out;
-    for (uint32_t si = 0; si < shard_tries_.size(); ++si) {
-      auto part = FilterShard(query, query_paths, si);
-      out.insert(out.end(), std::make_move_iterator(part.begin()),
-                 std::make_move_iterator(part.end()));
-    }
-    return out;
-  }
-
-  // Start from all graphs; each query path prunes by count, and its
-  // locations prune components.
-  const size_t num_graphs = dataset_->size();
-  std::vector<uint8_t> alive(num_graphs, 1);
-  // survivor_components[gid] = set of component ids that contain every
-  // query path seen so far.
-  std::vector<std::set<uint32_t>> survivor_components(num_graphs);
-  bool components_initialized = false;
-
-  for (const QueryPath& qp : query_paths) {
-    const auto* postings = trie_.Find(qp.labels);
-    if (postings == nullptr) {
-      return {};  // some query path exists nowhere: empty answer
-    }
-    std::vector<uint8_t> next_alive(num_graphs, 0);
-    for (const auto& [gid, posting] : *postings) {
-      if (!alive[gid] || posting.count < qp.count) continue;
-      // Components containing this path.
-      const auto& comp_of = dataset_->graph(gid).ComponentIds();
-      std::set<uint32_t> here;
-      for (VertexId loc : posting.locations) here.insert(comp_of[loc]);
-      if (!components_initialized) {
-        survivor_components[gid] = std::move(here);
-      } else {
-        std::set<uint32_t> both;
-        std::set_intersection(
-            survivor_components[gid].begin(), survivor_components[gid].end(),
-            here.begin(), here.end(), std::inserter(both, both.begin()));
-        survivor_components[gid] = std::move(both);
-      }
-      // A connected query must sit inside one component; a graph with no
-      // component containing all paths cannot contain the query.
-      if (query.NumComponents() <= 1 && survivor_components[gid].empty()) {
-        continue;
-      }
-      next_alive[gid] = 1;
-    }
-    alive.swap(next_alive);
-    components_initialized = true;
-  }
-
+  const auto query_paths = CollectPaths(query);
+  // Shard results concatenated in range order are globally gid-ascending.
   std::vector<GrapesCandidate> out;
-  for (uint32_t gid = 0; gid < num_graphs; ++gid) {
-    if (!alive[gid]) continue;
-    GrapesCandidate c;
-    c.graph_id = gid;
-    if (query.NumComponents() <= 1 && components_initialized) {
-      c.components.assign(survivor_components[gid].begin(),
-                          survivor_components[gid].end());
-    } else {
-      // Disconnected (or empty) query: verify against every component is
-      // unsound, so fall back to all components of the graph as one task.
-      for (uint32_t i = 0; i < components_[gid].size(); ++i) {
-        c.components.push_back(i);
-      }
-    }
-    out.push_back(std::move(c));
+  for (uint32_t si = 0; si < shard_tries_.size(); ++si) {
+    auto part = FilterShard(query, query_paths, si);
+    out.insert(out.end(), std::make_move_iterator(part.begin()),
+               std::make_move_iterator(part.end()));
   }
   return out;
 }
@@ -264,8 +127,7 @@ std::vector<GrapesCandidate> GrapesIndex::FilterSharded(
     return RunSerialFilterFallback(filter_stats_, total,
                                    [&] { return Filter(query); });
   }
-  const auto query_paths =
-      CollectQueryPaths(query, options_.max_path_edges);
+  const auto query_paths = CollectPaths(query);
   return RunShardedFilter<GrapesCandidate>(
       options_.executor, deadline, shard_tries_.size(), total,
       filter_stats_, [&](size_t si) {

@@ -5,6 +5,13 @@
 // (modified, as in the paper's setup, to return after the first match —
 // FTV answers the decision problem).
 //
+// The location information is kept as component ids: each posting of the
+// trie (ftv/path_index.hpp) lists the sorted distinct components that hold
+// an occurrence's start vertex, which is all the filter reads from a
+// location. Postings are appended in ascending graph id, so the filter is
+// one merge join over them; only graphs with more than one component
+// intersect component lists.
+//
 // Index build is parallelised by sharding graphs across threads into local
 // tries that are then merged; verification can fan candidate components out
 // across `num_threads` workers (the paper's Grapes/1 vs Grapes/4).
@@ -15,9 +22,8 @@
 // `FilterSharded` filters every shard as one deadline-aware TaskGroup on
 // the shared executor. The per-graph decision depends only on that graph's
 // own postings, so the sharded candidate set is byte-identical to the
-// serial `Filter`'s (the differential harness in
-// tests/ftv_parallel_filter_test.cpp holds this across randomized
-// collections).
+// serial `Filter`'s (tests/ftv_parallel_filter_test.cpp holds this across
+// randomized collections, and checks both against a trie-free census).
 
 #ifndef PSI_GRAPES_GRAPES_HPP_
 #define PSI_GRAPES_GRAPES_HPP_
@@ -78,9 +84,8 @@ struct GrapesCandidate {
 
 class GrapesIndex {
  public:
-  GrapesIndex() : trie_(/*store_locations=*/true) {}
-  explicit GrapesIndex(const GrapesOptions& options)
-      : options_(options), trie_(/*store_locations=*/true) {}
+  GrapesIndex() = default;
+  explicit GrapesIndex(const GrapesOptions& options) : options_(options) {}
 
   /// Indexes the dataset: enumerates paths (sharded across threads or
   /// filter shards), and caches each graph's connected components as
@@ -109,9 +114,10 @@ class GrapesIndex {
     return CollectQueryPaths(query, options_.max_path_edges);
   }
 
-  /// Filters one shard of a sharded index on the calling thread.
-  /// `query_paths` must come from CollectPaths(query). Candidates are in
-  /// ascending graph-id order within the shard.
+  /// Filters one shard on the calling thread (shard 0 of a single-shard
+  /// index is the whole collection). `query_paths` must come from
+  /// CollectPaths(query). Candidates are in ascending graph-id order
+  /// within the shard.
   std::vector<GrapesCandidate> FilterShard(
       const Graph& query, std::span<const QueryPath> query_paths,
       uint32_t shard) const;
@@ -126,10 +132,8 @@ class GrapesIndex {
 
   const GraphDataset* dataset() const { return dataset_; }
   const GrapesOptions& options() const { return options_; }
-  /// The single global trie; only populated on single-shard indexes
-  /// (sharded builds keep per-shard tries instead).
-  const PathTrie& trie() const { return trie_; }
-  /// Number of filter shards; 0 on a single-shard (serial) index.
+  /// Number of filter shards, each with its own trie: 1 on a single-shard
+  /// index, 0 before Build or over an empty collection.
   size_t num_filter_shards() const { return shard_tries_.size(); }
   std::span<const ShardRange> shard_ranges() const { return shard_ranges_; }
   /// Counters of the sharded filter stage (ftv/filter_shards.hpp);
@@ -153,7 +157,6 @@ class GrapesIndex {
 
  private:
   GrapesOptions options_;
-  PathTrie trie_;
   std::vector<ShardRange> shard_ranges_;
   std::vector<PathTrie> shard_tries_;
   mutable FilterStageStats filter_stats_;

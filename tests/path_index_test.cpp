@@ -46,27 +46,52 @@ TEST(EnumeratePathsTest, MaxEdgesZeroGivesVerticesOnly) {
   EXPECT_EQ(count, 4);
 }
 
-TEST(PathTrieTest, CountsAndLocations) {
-  PathTrie trie(/*store_locations=*/true);
-  const Graph g = MakePath({0, 1, 0});
-  trie.AddGraph(7, g, 2);
-  // Label path "0 1": from vertex 0 and from vertex 2.
-  const auto* postings = trie.Find(std::vector<LabelId>{0, 1});
-  ASSERT_NE(postings, nullptr);
-  ASSERT_TRUE(postings->count(7));
-  const PathPosting& p = postings->at(7);
-  EXPECT_EQ(p.count, 2u);
-  EXPECT_EQ(p.locations, (std::vector<VertexId>{0, 2}));
+/// The posting of graph `gid` in `list`; nullptr when it has none.
+const PathPosting* PostingOf(const PostingList& list, uint32_t gid) {
+  const auto run = list.Clip(gid, gid + 1);
+  return run.empty() ? nullptr : &run.front();
 }
 
-TEST(PathTrieTest, NoLocationsWhenDisabled) {
-  PathTrie trie(/*store_locations=*/false);
+std::vector<uint32_t> ComponentsOf(const PostingList& list, uint32_t gid) {
+  const auto comps = list.ComponentsOf(*PostingOf(list, gid));
+  return {comps.begin(), comps.end()};
+}
+
+TEST(PathTrieTest, CountsAndComponents) {
+  PathTrie trie(/*with_components=*/true);
+  const Graph g = MakePath({0, 1, 0});
+  trie.AddGraph(7, g, 2);
+  // Two components, "0 1" in both and "2" in the second only: component
+  // ids come from the start vertices, sorted and distinct.
+  trie.AddGraph(8, MakeGraph({0, 1, 2, 0, 1}, {{0, 1}, {2, 3}, {3, 4}}), 2);
+  // Label path "0 1" in graph 7: from vertex 0 and from vertex 2, one
+  // component.
+  const PostingList* list = trie.Find(std::vector<LabelId>{0, 1});
+  ASSERT_NE(list, nullptr);
+  ASSERT_NE(PostingOf(*list, 7), nullptr);
+  const PathPosting& p = *PostingOf(*list, 7);
+  EXPECT_EQ(p.count, 2u);
+  EXPECT_EQ(ComponentsOf(*list, 7), (std::vector<uint32_t>{0}));
+  EXPECT_EQ(PostingOf(*list, 8)->count, 2u);
+  EXPECT_EQ(ComponentsOf(*list, 8), (std::vector<uint32_t>{0, 1}));
+  const PostingList* two = trie.Find(std::vector<LabelId>{2});
+  ASSERT_NE(two, nullptr);
+  EXPECT_EQ(PostingOf(*two, 7), nullptr);
+  EXPECT_EQ(ComponentsOf(*two, 8), (std::vector<uint32_t>{1}));
+  // Postings are ascending by graph id.
+  ASSERT_EQ(list->postings.size(), 2u);
+  EXPECT_EQ(list->postings[0].graph_id, 7u);
+  EXPECT_EQ(list->postings[1].graph_id, 8u);
+}
+
+TEST(PathTrieTest, NoComponentsWhenDisabled) {
+  PathTrie trie(/*with_components=*/false);
   const Graph g = MakePath({0, 1});
   trie.AddGraph(0, g, 1);
-  const auto* postings = trie.Find(std::vector<LabelId>{0, 1});
-  ASSERT_NE(postings, nullptr);
-  EXPECT_TRUE(postings->at(0).locations.empty());
-  EXPECT_EQ(postings->at(0).count, 1u);
+  const PostingList* list = trie.Find(std::vector<LabelId>{0, 1});
+  ASSERT_NE(list, nullptr);
+  EXPECT_TRUE(ComponentsOf(*list, 0).empty());
+  EXPECT_EQ(PostingOf(*list, 0)->count, 1u);
 }
 
 TEST(PathTrieTest, FindMissingReturnsNull) {
@@ -76,16 +101,18 @@ TEST(PathTrieTest, FindMissingReturnsNull) {
   EXPECT_EQ(trie.Find(std::vector<LabelId>{0, 1, 1}), nullptr);
 }
 
-TEST(PathTrieTest, MergeCombinesCountsAndLocations) {
+TEST(PathTrieTest, MergeCombinesCountsAndComponents) {
   PathTrie a(true), b(true);
   a.AddGraph(0, MakePath({0, 1}), 1);
-  b.AddGraph(1, MakePath({0, 1}), 1);
   b.AddGraph(0, MakePath({0, 1}), 1);  // same graph id contributes again
+  b.AddGraph(1, MakePath({0, 1}), 1);
   a.Merge(b);
-  const auto* postings = a.Find(std::vector<LabelId>{0, 1});
-  ASSERT_NE(postings, nullptr);
-  EXPECT_EQ(postings->at(0).count, 2u);
-  EXPECT_EQ(postings->at(1).count, 1u);
+  const PostingList* list = a.Find(std::vector<LabelId>{0, 1});
+  ASSERT_NE(list, nullptr);
+  EXPECT_EQ(PostingOf(*list, 0)->count, 2u);
+  EXPECT_EQ(PostingOf(*list, 1)->count, 1u);
+  EXPECT_EQ(ComponentsOf(*list, 0), (std::vector<uint32_t>{0}));
+  EXPECT_EQ(ComponentsOf(*list, 1), (std::vector<uint32_t>{0}));
 }
 
 TEST(PathTrieTest, MergedEqualsSequentialBuild) {
@@ -109,14 +136,14 @@ TEST(PathTrieTest, MergedEqualsSequentialBuild) {
   // Compare on the query paths of each graph.
   for (uint32_t gid = 0; gid < ds.size(); ++gid) {
     for (const auto& qp : CollectQueryPaths(ds.graph(gid), 2)) {
-      const auto* p1 = sequential.Find(qp.labels);
-      const auto* p2 = shard_a.Find(qp.labels);
+      const PostingList* p1 = sequential.Find(qp.labels);
+      const PostingList* p2 = shard_a.Find(qp.labels);
       ASSERT_NE(p1, nullptr);
       ASSERT_NE(p2, nullptr);
-      ASSERT_TRUE(p1->count(gid));
-      ASSERT_TRUE(p2->count(gid));
-      EXPECT_EQ(p1->at(gid).count, p2->at(gid).count);
-      EXPECT_EQ(p1->at(gid).locations, p2->at(gid).locations);
+      ASSERT_NE(PostingOf(*p1, gid), nullptr);
+      ASSERT_NE(PostingOf(*p2, gid), nullptr);
+      EXPECT_EQ(PostingOf(*p1, gid)->count, PostingOf(*p2, gid)->count);
+      EXPECT_EQ(ComponentsOf(*p1, gid), ComponentsOf(*p2, gid));
     }
   }
 }
@@ -154,9 +181,9 @@ TEST(CollectQueryPathsTest, QueryPathCountsNeverExceedSourceGraph) {
   ASSERT_TRUE(w.ok());
   for (const auto& query : *w) {
     for (const auto& qp : CollectQueryPaths(query.graph, 3)) {
-      const auto* postings = trie.Find(qp.labels);
-      ASSERT_NE(postings, nullptr) << "query path missing from source";
-      EXPECT_GE(postings->at(0).count, qp.count);
+      const PostingList* list = trie.Find(qp.labels);
+      ASSERT_NE(list, nullptr) << "query path missing from source";
+      EXPECT_GE(PostingOf(*list, 0)->count, qp.count);
     }
   }
 }
