@@ -142,9 +142,10 @@ MatchResult GrapesIndex::VerifyCandidate(const Graph& query,
   mo.max_embeddings = 1;  // decision problem: first match wins
 
   const auto start = std::chrono::steady_clock::now();
-  // Disconnected queries span components; fall back to whole-graph VF2
-  // (rare path, no per-whole-graph index is kept).
-  if (query.NumComponents() > 1) {
+  // Disconnected queries span components, and an empty one embeds (once,
+  // emptily) even in a stored graph without components: both fall back to
+  // whole-graph VF2 (rare path, no per-whole-graph index is kept).
+  if (query.NumComponents() != 1) {
     MatchResult r = Vf2Match(query, dataset_->graph(candidate.graph_id), mo);
     kernel_stats_.Note(r.stats, false);
     return r;

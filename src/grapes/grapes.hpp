@@ -123,8 +123,9 @@ class GrapesIndex {
       uint32_t shard) const;
 
   /// Verification of one candidate: first-match VF2 over its relevant
-  /// components (fanned across num_threads workers when > 1). The
-  /// MatchOptions deadline/stop are honoured; decision semantics
+  /// components (fanned across num_threads workers when > 1); a query
+  /// without exactly one component runs against the whole stored graph.
+  /// The MatchOptions deadline/stop are honoured; decision semantics
   /// (max_embeddings is forced to 1).
   MatchResult VerifyCandidate(const Graph& query,
                               const GrapesCandidate& candidate,

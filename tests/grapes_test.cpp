@@ -4,6 +4,7 @@
 
 #include "gen/dataset_gen.hpp"
 #include "gen/query_gen.hpp"
+#include "ggsx/ggsx.hpp"
 #include "tests/test_util.hpp"
 #include "vf2/vf2.hpp"
 
@@ -162,6 +163,31 @@ TEST(GrapesMultithreadTest, ParallelVerifyFindsMatches) {
       }
     }
     EXPECT_TRUE(found_in_source);
+  }
+}
+
+TEST(GrapesVerifyTest, EmptyQueryAgreesWithGgsx) {
+  // The empty query has one embedding, the empty one, in every stored
+  // graph — also in an empty graph, which has no component to verify.
+  GraphDataset ds;
+  ds.Add(testing::MakeGraph({}, {}));
+  ds.Add(testing::MakePath({0, 1}));
+  GrapesIndex grapes;
+  ASSERT_TRUE(grapes.Build(ds).ok());
+  GgsxIndex ggsx;
+  ASSERT_TRUE(ggsx.Build(ds).ok());
+  const Graph query = testing::MakeGraph({}, {});
+  MatchOptions mo;
+  mo.max_embeddings = 1;
+  const auto candidates = grapes.Filter(query);
+  ASSERT_EQ(candidates.size(), ds.size());
+  for (const GrapesCandidate& c : candidates) {
+    const MatchResult r = grapes.VerifyCandidate(query, c, mo);
+    const MatchResult expected = ggsx.VerifyCandidate(query, c.graph_id, mo);
+    ASSERT_TRUE(r.complete);
+    ASSERT_TRUE(expected.complete);
+    EXPECT_EQ(r.found(), expected.found()) << "graph " << c.graph_id;
+    EXPECT_TRUE(r.found()) << "graph " << c.graph_id;
   }
 }
 
