@@ -7,14 +7,13 @@
 //  * filter throughput — queries/second over a repeated workload,
 //    filtering only (no verification), serial `Filter` vs `FilterSharded`.
 //
-// The sharded speedup has two independent sources, and this bench shows
-// both: (a) the per-shard filter kernel (rarest-path-first per-graph
-// conjunction with early exit, vector-based component intersection, and
-// the shard-level short-circuit when a query path is absent from a whole
-// shard) beats the global-trie sweep even on one core; (b) shard tasks
-// run concurrently, which multiplies on multi-core pools. SHAPE asserts
-// the acceptance claim: >= 1.5x filter throughput over serial at pool
-// width >= 2, with byte-identical candidate sets.
+// Serial and sharded filters run the same merge-join kernel
+// (ForEachCoveringGraph in ftv/filter_shards.hpp) over a (trie, graph-id
+// range), so the only sharded speedup left is shard tasks running
+// concurrently on the pool; it has to beat the cost of handing each
+// shard to a pool task. SHAPE asserts the acceptance claim: >= 1.5x
+// filter throughput over serial at pool width >= 2, with byte-identical
+// candidate sets.
 
 #include <chrono>
 #include <cstdio>
