@@ -44,8 +44,6 @@
 //                            invisible beyond the miss counter)
 //   engine.prepare  kError   PsiEngine::Prepare returns Status::IOError
 //   engine.run      kError   PsiEngine::Run produces an all-killed race
-//   ftv.filter      kThrow   a pooled FTV shard filter task crashes; the
-//                            shard re-filters inline, suppressed
 
 #ifndef PSI_FAULT_FAILPOINT_HPP_
 #define PSI_FAULT_FAILPOINT_HPP_

@@ -74,8 +74,9 @@ uint32_t ResolveFilterShards(uint32_t requested, size_t collection_size,
 /// All methods may be called concurrently.
 class FilterStageStats {
  public:
-  /// One FilterSharded call over `considered` stored graphs of which
-  /// `pruned` were dropped.
+  /// One filtered query (a FilterSharded call, or a workload runner's
+  /// serial Filter) over `considered` stored graphs of which `pruned`
+  /// were dropped.
   void NoteQuery(uint64_t considered, uint64_t pruned);
   /// One shard filter task that ran on the pool.
   void NoteShardRun() { shards_run_.fetch_add(1, std::memory_order_relaxed); }
@@ -115,10 +116,7 @@ class FilterStageStats {
 /// runs inline directly and never touches the executor.
 ///
 /// The fan-out scaffold behind the sharded trie build and both engines'
-/// FilterSharded. (The pipelined workload runner keeps its own scaffold:
-/// it streams verification spawns from inside its filter tasks and
-/// interleaves two task groups, which this join-then-rerun shape cannot
-/// express.)
+/// FilterSharded.
 std::vector<uint8_t> RunShardTasks(Executor* executor, Deadline deadline,
                                    size_t num_shards,
                                    const std::function<void(size_t)>& body);

@@ -109,7 +109,7 @@ class GrapesIndex {
       const Graph& query, Deadline deadline = Deadline()) const;
 
   /// The query's path index against this index's configuration — shared
-  /// by every shard of one query (and by the pipelined runner).
+  /// by every shard of one query.
   std::vector<QueryPath> CollectPaths(const Graph& query) const {
     return CollectQueryPaths(query, options_.max_path_edges);
   }

@@ -38,6 +38,20 @@ QueryPlan FullRacePlan(size_t num_variants, std::chrono::nanoseconds budget) {
   return plan;
 }
 
+PlanStage ProbeStage(std::span<const size_t> order, size_t probes,
+                     double probe_fraction, std::chrono::nanoseconds budget) {
+  const double fraction = std::clamp(probe_fraction, 1.0 / 100.0, 1.0);
+  PlanStage probe;
+  probe.budget = std::chrono::nanoseconds(std::max<int64_t>(
+      1, static_cast<int64_t>(static_cast<double>(budget.count()) *
+                              fraction)));
+  for (size_t i = 0; i < std::max<size_t>(1, probes) && i < order.size();
+       ++i) {
+    probe.steps.push_back(PlanStep{order[i], {}});
+  }
+  return probe;
+}
+
 PlanResult ExecutePlan(const QueryPlan& plan,
                        std::span<const RaceVariant> universe,
                        const RaceOptions& base) {

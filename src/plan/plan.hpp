@@ -92,6 +92,13 @@ struct QueryPlan {
 QueryPlan FullRacePlan(size_t num_variants,
                        std::chrono::nanoseconds budget = {});
 
+/// The probe stage of a staged plan: the first `probes` (at least one)
+/// variants of `order`, raced under `probe_fraction` (clamped to
+/// [0.01, 1]) of `budget`. QueryPlanner's warm staged plans and the FTV
+/// runners' default pair plan (workload/runner.hpp) both open with it.
+PlanStage ProbeStage(std::span<const size_t> order, size_t probes,
+                     double probe_fraction, std::chrono::nanoseconds budget);
+
 /// True when a race variant's body actually started (it completed, or it
 /// was interrupted after making progress); fast-cancelled / shed /
 /// rejected variants report cancelled with zero elapsed time. Drives

@@ -66,19 +66,8 @@ QueryPlan QueryPlanner::Plan(const QueryFeatures& features) const {
   }
 
   if (staging) {
-    const double fraction =
-        std::clamp(options_.probe_fraction, 1.0 / 100.0, 1.0);
-    const auto probe_budget = std::chrono::nanoseconds(
-        std::max<int64_t>(1, static_cast<int64_t>(
-                                 static_cast<double>(
-                                     options_.budget.count()) *
-                                 fraction)));
-    PlanStage probe;
-    probe.budget = probe_budget;
-    const size_t probes = std::max<size_t>(1, options_.probe_variants);
-    for (size_t i = 0; i < probes && i < order.size(); ++i) {
-      probe.steps.push_back(PlanStep{order[i], {}});
-    }
+    PlanStage probe = ProbeStage(order, options_.probe_variants,
+                                 options_.probe_fraction, options_.budget);
     if (options_.split_workers > 1 && !order.empty()) {
       // Probe miss → throw the pool at the predicted winner instead of
       // widening the race: one split step at the full budget.

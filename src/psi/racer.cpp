@@ -11,8 +11,9 @@ namespace psi {
 
 namespace {
 
-/// Concurrent-race state shared by the threads and pool backends; the
-/// backends differ only in how they put variants on threads.
+/// Race state shared by the threads and pool backends and the
+/// one-contender caller run; they differ only in how they put variants
+/// on threads.
 struct RaceShared {
   RaceResult out;
   std::atomic<int> winner{-1};
@@ -107,6 +108,14 @@ MatchResult RunBodyIsolated(const RaceVariant& variant, uint32_t split,
   }
 }
 
+/// The watchdog grace of a kPool race: the explicit option, else
+/// PSI_WATCHDOG_GRACE_MS. The watchdog is armed when this is positive and
+/// the race has a budget to measure the grace from.
+std::chrono::nanoseconds WatchdogGrace(const RaceOptions& options) {
+  if (options.watchdog_grace.count() > 0) return options.watchdog_grace;
+  return std::chrono::milliseconds(WatchdogGraceMillis());
+}
+
 /// Runs variant `i` under the race's shared deadline/token, records its
 /// outcome, and — on the race's first completion — claims the win and
 /// trips `stop` to call off the rest of the race.
@@ -144,6 +153,29 @@ RaceResult FinishRace(RaceShared& s) {
     s.out.wall = std::chrono::steady_clock::now() - s.start;
   }
   return std::move(s.out);
+}
+
+/// A kPool race with one contender has nothing to race against, so the
+/// pool would only add a hand-off: the contender runs on the calling
+/// thread, crash-isolated and under the race deadline, as a pool worker
+/// would run it. The pool keeps the race when a watchdog must be able to
+/// abandon a wedged body or the caller asked for admission control's
+/// verdict (OverloadResponse::kFail).
+bool RunsOnCaller(std::span<const RaceVariant> variants,
+                  const RaceOptions& options) {
+  const bool watchdog_armed =
+      WatchdogGrace(options).count() > 0 && options.budget.count() > 0;
+  return variants.size() == 1 && !watchdog_armed &&
+         options.on_overload != OverloadResponse::kFail;
+}
+
+RaceResult RaceOnCaller(std::span<const RaceVariant> variants,
+                        const RaceOptions& options) {
+  RaceShared s(variants);
+  StopToken stop;
+  RunVariant(variants[0], 0, VariantSplit(variants, options, 0), options,
+             VariantDeadline(options, 0, SharedDeadline(options)), stop, s);
+  return FinishRace(s);
 }
 
 RaceResult RaceThreads(std::span<const RaceVariant> variants,
@@ -219,10 +251,7 @@ RaceResult RacePool(std::span<const RaceVariant> variants,
     // unbounded Wait() is safe because cancelled queued members
     // fast-cancel and running members either poll their CostGuards or are
     // past the point of mattering; it cannot outwait a cooperative body.
-    std::chrono::nanoseconds grace = options.watchdog_grace;
-    if (grace.count() <= 0) {
-      grace = std::chrono::milliseconds(WatchdogGraceMillis());
-    }
+    const std::chrono::nanoseconds grace = WatchdogGrace(options);
     if (grace.count() > 0 && group.deadline().enabled()) {
       if (!group.WaitUntil(group.deadline().at() + grace)) {
         s.out.watchdog_fired = true;
@@ -299,16 +328,18 @@ RaceResult Race(std::span<const RaceVariant> variants,
     empty.mode = options.mode;
     return empty;
   }
-  // Single-variant races still execute under the requested mode: the
-  // mechanics are equivalent, but downgrading silently would mislabel
-  // mode-tagged metrics and skip the pool accounting.
+  // Single-variant races still report the requested mode, so mode-tagged
+  // metrics stay truthful. A one-contender kPool race runs on the calling
+  // thread (RunsOnCaller) under the same deadline and crash isolation a
+  // pool worker would give it.
   RaceResult out;
   switch (options.mode) {
     case RaceMode::kSequential:
       out = RaceSequential(variants, options);
       break;
     case RaceMode::kPool:
-      out = RacePool(variants, options);
+      out = RunsOnCaller(variants, options) ? RaceOnCaller(variants, options)
+                                            : RacePool(variants, options);
       break;
     case RaceMode::kThreads:
       out = RaceThreads(variants, options);

@@ -18,7 +18,10 @@
 //                  (src/exec/). No per-race thread churn, races from many
 //                  client threads share one pool, and losing variants that
 //                  are still queued when the winner finishes are discarded
-//                  without ever starting.
+//                  without ever starting. A race with one contender runs
+//                  it on the calling thread instead (it has nobody to
+//                  race), unless a watchdog is armed or on_overload is
+//                  kFail; it still reports kPool.
 //  * kSequential — runs every variant to its own cap, one after another,
 //                  and reports the idealized race outcome (winner = the
 //                  fastest completed variant). This mode measures the full

@@ -1,8 +1,9 @@
 #include "workload/runner.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -286,45 +287,85 @@ Portfolio MakeFtvVerificationPortfolio(
   return p;
 }
 
+QueryPlan FtvPairPlan(size_t num_rewritings, const RunnerOptions& options,
+                      RaceMode mode) {
+  QueryPlan plan = FullRacePlan(num_rewritings);
+  const auto budget = BudgetOf(options);
+  if (mode != RaceMode::kPool || budget.count() <= 0 || num_rewritings < 2) {
+    return plan;
+  }
+  const size_t first = 0;
+  plan.stages.insert(
+      plan.stages.begin(),
+      ProbeStage(std::span(&first, 1), 1,
+                 static_cast<double>(PlanProbePercent()) / 100.0, budget));
+  plan.name = "staged(top1->full)";
+  plan.escalation = EscalationPolicy::kOnMiss;
+  return plan;
+}
+
 namespace {
 
-/// Plans and races one (query, candidate) verification and fills the
-/// record fields common to the serial and parallel FTV runners. The
-/// rewritten instances come from `cache` — the first pair of a query
-/// computes them, every later pair of the same query reuses them (and
-/// the stats-independent ones are shared across stats identities).
-/// `plan` stages/narrows the race (nullptr = classic full race over all
-/// rewritings); a completed race feeds `planner` when one is given.
-FtvPairRecord RaceFtvPair(const GrapesIndex& index, const Graph& query,
-                          std::span<const Rewriting> rewritings,
-                          const LabelStats& stats, RewriteCache& cache,
+/// What every (query, candidate) verification of one Ψ FTV runner call
+/// shares.
+struct FtvRun {
+  const GrapesIndex& index;
+  std::span<const Rewriting> rewritings;
+  const LabelStats& stats;
+  /// Rewritten instances: the first pair of a query computes them, every
+  /// later pair of the same query reuses them (and the stats-independent
+  /// ones are shared across stats identities).
+  RewriteCache& cache;
+  const RunnerOptions& options;
+  RaceMode mode;
+  Executor* executor;
+  /// Plans each query and learns from its completed races; nullptr when
+  /// the caller gave no configured planner.
+  QueryPlanner* planner;
+  /// The plan of every pair when `planner` is nullptr (FtvPairPlan).
+  QueryPlan pair_plan;
+};
+
+FtvRun MakeFtvRun(const GrapesIndex& index,
+                  std::span<const Rewriting> rewritings,
+                  const LabelStats& stats, RewriteCache& cache,
+                  const RunnerOptions& options, RaceMode mode,
+                  Executor* executor, QueryPlanner* planner) {
+  const bool planned = planner != nullptr && planner->configured();
+  return FtvRun{index,    rewritings, stats,
+                cache,    options,    mode,
+                executor, planned ? planner : nullptr,
+                FtvPairPlan(rewritings.size(), options, mode)};
+}
+
+/// Races one (query, candidate) verification under `plan` and fills the
+/// record fields common to both Ψ FTV runners.
+FtvPairRecord RaceFtvPair(const FtvRun& run, const Graph& query,
                           const GrapesCandidate& cand, uint32_t query_index,
-                          const RunnerOptions& options, RaceMode mode,
-                          Executor* executor, const QueryPlan* plan,
-                          QueryPlanner* planner) {
-  const auto instances = cache.GetInstances(query, rewritings, stats);
+                          const QueryPlan& plan) {
+  const auto instances =
+      run.cache.GetInstances(query, run.rewritings, run.stats);
   std::vector<RaceVariant> universe;
   universe.reserve(instances.size());
   for (size_t i = 0; i < instances.size(); ++i) {
     universe.push_back(RaceVariant{
-        std::string(ToString(rewritings[i])),
-        [&index, inst = instances[i], &cand](const MatchOptions& mo) {
+        std::string(ToString(run.rewritings[i])),
+        [&index = run.index, inst = instances[i],
+         &cand](const MatchOptions& mo) {
           return index.VerifyCandidate(inst->graph, cand, mo);
         }});
   }
   RaceOptions base;
-  base.budget = BudgetOf(options);
+  base.budget = BudgetOf(run.options);
   base.max_embeddings = 1;
-  base.mode = mode;
-  base.executor = executor;
+  base.mode = run.mode;
+  base.executor = run.executor;
   const RaceResult race = RaceWithRetry(
       base, [&](const RaceOptions& ro) -> RaceResult {
-        PlanResult pr = ExecutePlan(
-            plan != nullptr ? *plan : FullRacePlan(universe.size()),
-            universe, ro);
-        if (planner != nullptr && plan != nullptr && pr.race.completed()) {
-          planner->Observe(plan->features,
-                           static_cast<size_t>(pr.race.winner));
+        PlanResult pr = ExecutePlan(plan, universe, ro);
+        if (run.planner != nullptr && pr.race.completed()) {
+          run.planner->Observe(plan.features,
+                               static_cast<size_t>(pr.race.winner));
         }
         return std::move(pr.race);
       });
@@ -332,12 +373,28 @@ FtvPairRecord RaceFtvPair(const GrapesIndex& index, const Graph& query,
   rec.query_index = query_index;
   rec.graph_id = cand.graph_id;
   rec.killed = !race.completed();
-  rec.ms = rec.killed && options.cap_ms > 0.0
-               ? options.cap_ms
+  rec.ms = rec.killed && run.options.cap_ms > 0.0
+               ? run.options.cap_ms
                : std::chrono::duration<double, std::milli>(race.wall).count();
   rec.matched = race.completed() && race.result.found();
   rec.status = RaceStatusCode(race);
   return rec;
+}
+
+/// One query of both Ψ FTV runners, all on the calling thread: plan it,
+/// filter it (counted in the index's filter stats), then race its
+/// candidates in ascending graph id.
+void RunFtvQuery(const FtvRun& run, const Graph& query, uint32_t query_index,
+                 std::vector<FtvPairRecord>* out) {
+  QueryPlan planned;
+  if (run.planner != nullptr) planned = run.planner->Plan(query);
+  const QueryPlan& plan = run.planner != nullptr ? planned : run.pair_plan;
+  const std::vector<GrapesCandidate> cands = run.index.Filter(query);
+  const size_t considered = run.index.dataset()->size();
+  run.index.filter_stats().NoteQuery(considered, considered - cands.size());
+  for (const GrapesCandidate& cand : cands) {
+    out->push_back(RaceFtvPair(run, query, cand, query_index, plan));
+  }
 }
 
 }  // namespace
@@ -348,189 +405,16 @@ std::vector<FtvPairRecord> RunFtvWorkloadPsi(
     const RunnerOptions& options, RaceMode mode, Executor* executor,
     QueryPlanner* planner, RewriteCache* rewrite_cache) {
   RewriteCache local_cache;
-  RewriteCache& cache =
-      rewrite_cache != nullptr ? *rewrite_cache : local_cache;
+  const FtvRun run = MakeFtvRun(
+      index, rewritings, stats,
+      rewrite_cache != nullptr ? *rewrite_cache : local_cache, options, mode,
+      executor, planner);
   std::vector<FtvPairRecord> out;
   for (uint32_t qi = 0; qi < workload.size(); ++qi) {
-    const Graph& query = workload[qi].graph;
-    QueryPlan plan;
-    const bool planned = planner != nullptr && planner->configured();
-    if (planned) plan = planner->Plan(query);
-    for (const GrapesCandidate& cand : index.Filter(query)) {
-      out.push_back(RaceFtvPair(index, query, rewritings, stats, cache, cand,
-                                qi, options, mode, executor,
-                                planned ? &plan : nullptr, planner));
-    }
+    RunFtvQuery(run, workload[qi].graph, qi, &out);
   }
   return out;
 }
-
-namespace {
-
-/// The pipelined path for filter-sharded indexes: one pool task per
-/// (query, shard) filters its range and immediately spawns the
-/// verification races of its survivors, so filtering of later shards
-/// overlaps verification of earlier ones. Records are assembled from
-/// per-(query, shard) buckets in (query, shard, gid) order — exactly the
-/// serial runner's order. Displaced work (admission control) re-runs
-/// inline after the joins.
-std::vector<FtvPairRecord> RunFtvPipelined(
-    const GrapesIndex& index, std::span<const gen::Query> workload,
-    std::span<const Rewriting> rewritings, const LabelStats& stats,
-    const RunnerOptions& options, RaceMode mode, Executor& exec,
-    QueryPlanner* planner, RewriteCache& cache) {
-  const size_t num_shards = index.num_filter_shards();
-  const auto budget = BudgetOf(options);
-
-  // Serial prologue: path indexes and plans per query, so every pool
-  // task works off stable storage. Rewriting is *not* done here: the
-  // verification tasks pull instances from the shared rewrite cache, so
-  // a query none of whose shards survive filtering is never rewritten at
-  // all, and a surviving query is rewritten exactly once however many
-  // candidates and shards it fans out to.
-  struct QueryCtx {
-    std::vector<QueryPath> paths;
-    QueryPlan plan;
-    bool planned = false;
-  };
-  std::vector<QueryCtx> ctx(workload.size());
-  for (size_t qi = 0; qi < workload.size(); ++qi) {
-    ctx[qi].paths = index.CollectPaths(workload[qi].graph);
-    if (planner != nullptr && planner->configured()) {
-      ctx[qi].plan = planner->Plan(workload[qi].graph);
-      ctx[qi].planned = true;
-    }
-  }
-
-  // One bucket per (query, shard). The owning filter task sizes
-  // `records` before spawning its verify tasks, so every record slot has
-  // a stable address for the task that fills it.
-  struct Bucket {
-    std::vector<GrapesCandidate> cands;
-    std::vector<FtvPairRecord> records;
-  };
-  std::vector<Bucket> buckets(workload.size() * num_shards);
-  std::vector<Deadline::Clock::time_point> spawned_at(buckets.size());
-
-  std::mutex displaced_mutex;
-  // (bucket, candidate) verifications the pool displaced; re-run inline.
-  std::vector<std::pair<size_t, size_t>> displaced_pairs;
-  std::vector<uint8_t> shard_displaced(buckets.size(), 0);
-
-  TaskGroup verify_group(exec);  // deadline-less; EDF aging still drains it
-  auto verify_pair = [&](size_t bucket_index, size_t pair_index) {
-    const size_t qi = bucket_index / num_shards;
-    Bucket& b = buckets[bucket_index];
-    b.records[pair_index] = RaceFtvPair(
-        index, workload[qi].graph, rewritings, stats, cache,
-        b.cands[pair_index], static_cast<uint32_t>(qi), options, mode, &exec,
-        ctx[qi].planned ? &ctx[qi].plan : nullptr, planner);
-  };
-  auto spawn_verifies = [&](size_t bucket_index) {
-    Bucket& b = buckets[bucket_index];
-    b.records.resize(b.cands.size());
-    for (size_t i = 0; i < b.cands.size(); ++i) {
-      const Admission admission =
-          verify_group.Spawn([&, bucket_index, i](TaskStart start) {
-            if (start != TaskStart::kRun) {
-              std::lock_guard<std::mutex> lock(displaced_mutex);
-              displaced_pairs.push_back({bucket_index, i});
-              return;
-            }
-            verify_pair(bucket_index, i);
-          });
-      if (admission == Admission::kRejected) {
-        std::lock_guard<std::mutex> lock(displaced_mutex);
-        displaced_pairs.push_back({bucket_index, i});
-      }
-    }
-  };
-  auto filter_shard = [&](size_t bucket_index) {
-    const size_t qi = bucket_index / num_shards;
-    const auto si = static_cast<uint32_t>(bucket_index % num_shards);
-    buckets[bucket_index].cands =
-        index.FilterShard(workload[qi].graph, ctx[qi].paths, si);
-    index.filter_stats().NoteShardLatency(
-        std::chrono::duration<double, std::milli>(
-            Deadline::Clock::now() - spawned_at[bucket_index])
-            .count());
-  };
-
-  {
-    // The filter group carries the race budget as its deadline: shard
-    // filters queue with the same EDF standing and admission-control
-    // exposure as the verification races they feed.
-    TaskGroup filter_group(exec, budget.count() > 0 ? Deadline::After(budget)
-                                                    : Deadline());
-    for (size_t bi = 0; bi < buckets.size(); ++bi) {
-      spawned_at[bi] = Deadline::Clock::now();
-      const Admission admission =
-          filter_group.Spawn([&, bi](TaskStart start) {
-            if (start != TaskStart::kRun) {
-              shard_displaced[bi] = 1;  // visible to the waiter via Wait()
-              return;
-            }
-            try {
-              if (PSI_FAULT_POINT("ftv.filter") == FaultKind::kThrow) {
-                throw FaultInjectedError("ftv.filter");
-              }
-              filter_shard(bi);
-            } catch (...) {
-              // A crashed shard filter degrades to the inline path: the
-              // shard re-filters after the join (suppressed), so its
-              // candidates — and their records — are never lost.
-              FaultStats::Instance().NoteCrash();
-              shard_displaced[bi] = 1;
-              return;
-            }
-            index.filter_stats().NoteShardRun();
-            // Stream: survivors go straight into verification races.
-            spawn_verifies(bi);
-          });
-      if (admission == Admission::kRejected) shard_displaced[bi] = 1;
-    }
-    filter_group.Wait();
-  }
-  // Displaced shards filter inline; their survivors still race on the
-  // pool (the verify group is open until every bucket is accounted for).
-  // spawned_at is left at the original submission time, per the latency
-  // metric's definition (first submission -> shard result ready).
-  {
-    // Recovery step: re-filters run suppressed so they cannot crash or
-    // be displaced again. Their verify spawns enqueue from this thread
-    // (admission suppressed too); a worker-side shed of one of those
-    // races still lands in displaced_pairs and is caught below.
-    FaultSuppressionScope suppress_recovery;
-    for (size_t bi = 0; bi < buckets.size(); ++bi) {
-      if (shard_displaced[bi] == 0) continue;
-      filter_shard(bi);
-      index.filter_stats().NoteShardInline();
-      spawn_verifies(bi);
-    }
-  }
-  verify_group.Wait();
-  {
-    FaultSuppressionScope suppress_recovery;
-    for (const auto& [bucket_index, pair_index] : displaced_pairs) {
-      verify_pair(bucket_index, pair_index);
-    }
-  }
-
-  std::vector<FtvPairRecord> out;
-  for (size_t qi = 0; qi < workload.size(); ++qi) {
-    uint64_t survivors = 0;
-    for (size_t si = 0; si < num_shards; ++si) {
-      const Bucket& b = buckets[qi * num_shards + si];
-      survivors += b.records.size();
-      out.insert(out.end(), b.records.begin(), b.records.end());
-    }
-    index.filter_stats().NoteQuery(index.dataset()->size(),
-                                   index.dataset()->size() - survivors);
-  }
-  return out;
-}
-
-}  // namespace
 
 std::vector<FtvPairRecord> RunFtvWorkloadPsiParallel(
     const GrapesIndex& index, std::span<const gen::Query> workload,
@@ -539,67 +423,41 @@ std::vector<FtvPairRecord> RunFtvWorkloadPsiParallel(
     QueryPlanner* planner, RewriteCache* rewrite_cache) {
   Executor& exec = executor != nullptr ? *executor : Executor::Shared();
   RewriteCache local_cache;
-  RewriteCache& cache =
-      rewrite_cache != nullptr ? *rewrite_cache : local_cache;
-  if (index.num_filter_shards() > 1) {
-    return RunFtvPipelined(index, workload, rewritings, stats, options, mode,
-                           exec, planner, cache);
-  }
-  // Serial phase: plan per query and enumerate every (query, candidate)
-  // pair, so the parallel phase has stable storage and a fixed order.
-  // Rewriting happens lazily in the pair tasks, through the shared cache:
-  // one rewrite per surviving query, none for fully pruned ones.
-  struct Pair {
-    uint32_t query_index;
-    GrapesCandidate cand;
-  };
-  std::vector<Pair> pairs;
-  std::vector<QueryPlan> plans(workload.size());
-  std::vector<uint8_t> planned(workload.size(), 0);
-  for (uint32_t qi = 0; qi < workload.size(); ++qi) {
-    const Graph& query = workload[qi].graph;
-    if (planner != nullptr && planner->configured()) {
-      plans[qi] = planner->Plan(query);
-      planned[qi] = 1;
+  const FtvRun run = MakeFtvRun(
+      index, rewritings, stats,
+      rewrite_cache != nullptr ? *rewrite_cache : local_cache, options, mode,
+      &exec, planner);
+  // The caller and its helpers take whole queries from one cursor; each
+  // query's records go to its own slot, so the output order is the serial
+  // runner's whoever ran the query.
+  std::vector<std::vector<FtvPairRecord>> per_query(workload.size());
+  std::atomic<size_t> next{0};
+  auto drain = [&] {
+    for (size_t qi = next.fetch_add(1); qi < workload.size();
+         qi = next.fetch_add(1)) {
+      RunFtvQuery(run, workload[qi].graph, static_cast<uint32_t>(qi),
+                  &per_query[qi]);
     }
-    for (const GrapesCandidate& cand : index.Filter(query)) {
-      pairs.push_back({qi, cand});
-    }
-  }
-  // Parallel phase: one pool task per verification race. Pairs a bounded
-  // pool refuses (rejected or shed) re-run inline after the join, so the
-  // record set is identical to the serial runner's under any capacity.
-  auto race_pair = [&](size_t i) {
-    const Pair& p = pairs[i];
-    return RaceFtvPair(index, workload[p.query_index].graph, rewritings,
-                       stats, cache, p.cand, p.query_index, options, mode,
-                       &exec,
-                       planned[p.query_index] != 0 ? &plans[p.query_index]
-                                                   : nullptr,
-                       planner);
   };
-  std::vector<FtvPairRecord> out(pairs.size());
-  std::vector<uint8_t> displaced(pairs.size(), 0);
   {
-    TaskGroup group(exec);
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      const Admission admission = group.Spawn([&, i](TaskStart start) {
-        if (start != TaskStart::kRun) {
-          // kShed or kCancelled — the pair never raced here; mark it
-          // displaced so the inline pass always fills its record.
-          displaced[i] = 1;
-          return;
-        }
-        out[i] = race_pair(i);
+    // A helper the bounded pool rejects or sheds takes no query, and the
+    // caller's own drain runs whatever is left, so the records are the
+    // same under any queue capacity.
+    TaskGroup helpers(exec);
+    const size_t width =
+        std::min(exec.num_threads(),
+                 workload.empty() ? size_t{0} : workload.size() - 1);
+    for (size_t h = 0; h < width; ++h) {
+      helpers.Spawn([&](TaskStart start) {
+        if (start == TaskStart::kRun) drain();
       });
-      if (admission == Admission::kRejected) displaced[i] = 1;
     }
-    group.Wait();
+    drain();
+    helpers.Wait();
   }
-  // Recovery step — suppressed, same contract as the NFV parallel runner.
-  FaultSuppressionScope suppress_recovery;
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    if (displaced[i] != 0) out[i] = race_pair(i);
+  std::vector<FtvPairRecord> out;
+  for (auto& records : per_query) {
+    out.insert(out.end(), records.begin(), records.end());
   }
   return out;
 }

@@ -132,13 +132,26 @@ std::vector<FtvPairRecord> RunFtvWorkload(
 /// of the FTV runners below.
 Portfolio MakeFtvVerificationPortfolio(std::span<const Rewriting> rewritings);
 
-/// Ψ-framework over Grapes verification: per candidate graph, races one
-/// VF2 verification per rewriting (paper §8, FTV side). Every query is
-/// rewritten exactly once — per-pair races fetch their instances from
+/// The plan of an FTV verification pair whose query no planner plans. A
+/// kPool pair with a cap and at least two rewritings probes the first
+/// rewriting alone under PSI_PLAN_PROBE_PCT of the cap (the probe stage
+/// QueryPlanner's staged plans use) and races every rewriting only when
+/// the probe misses: a race pays for its pool tasks only against a
+/// straggling first rewriting. Every other pair (kThreads, kSequential,
+/// uncapped, one rewriting) races every rewriting at once.
+QueryPlan FtvPairPlan(size_t num_rewritings, const RunnerOptions& options,
+                      RaceMode mode);
+
+/// Ψ-framework over Grapes verification (paper §8, FTV side): per query,
+/// filters with GrapesIndex::Filter (counted in the index's
+/// filter_stats()), then verifies each candidate graph, in ascending graph
+/// id, with one VF2 contender per rewriting. Each pair runs
+/// FtvPairPlan(rewritings.size(), options, mode), or with `planner`
+/// (configured over MakeFtvVerificationPortfolio(rewritings)) the query's
+/// plan, whose completed races the planner learns from. Every query is
+/// rewritten exactly once: the pairs fetch their instances from
 /// `rewrite_cache` (nullptr = a cache local to this call), so a query
-/// surviving against N candidate graphs costs one rewrite, not N. With
-/// `planner` (configured over MakeFtvVerificationPortfolio(rewritings)),
-/// each pair executes the query's plan instead of the full race.
+/// surviving against N candidate graphs costs one rewrite, not N.
 std::vector<FtvPairRecord> RunFtvWorkloadPsi(
     const GrapesIndex& index, std::span<const gen::Query> workload,
     std::span<const Rewriting> rewritings, const LabelStats& stats,
@@ -146,20 +159,16 @@ std::vector<FtvPairRecord> RunFtvWorkloadPsi(
     Executor* executor = nullptr, QueryPlanner* planner = nullptr,
     RewriteCache* rewrite_cache = nullptr);
 
-/// Pair-level parallel FTV. On a single-shard index, filtering stays
-/// serial (it is trivial overhead at that scale, §4) and every (query,
-/// candidate-graph) verification race becomes a pool task. On a
-/// filter-sharded index (GrapesOptions::filter_shards, see
-/// ftv/filter_shards.hpp) the whole workload is *pipelined*: each (query,
-/// shard) filter task runs on the pool under the race budget's deadline
-/// and spawns the verification races of its surviving candidates the
-/// moment its shard result is ready — filter and verify overlap instead
-/// of running as strict phases. Either way, records land in the exact
-/// order the serial runner produces (queries in workload order,
-/// candidates gid-ascending), and work the bounded pool displaces
-/// (rejected or shed filter shards and verification races) re-runs
-/// inline, so the record set is identical under any queue capacity —
-/// including capacity 0.
+/// RunFtvWorkloadPsi with whole queries spread over the calling thread
+/// and at most pool-width helper tasks on `executor` (nullptr = the
+/// shared pool), which take queries from one cursor. Each query runs
+/// RunFtvWorkloadPsi's body on the thread that took it: the serial filter
+/// (never FilterSharded, whatever the index's shard count), then its
+/// pairs; a pair's escalated pool race shares the same pool. A helper
+/// the bounded pool rejects or sheds leaves its queries to the caller, so
+/// the records equal the serial runner's, in its order (queries in
+/// workload order, candidates gid-ascending), under any queue capacity,
+/// including capacity 0. A one-query call spawns no helper.
 std::vector<FtvPairRecord> RunFtvWorkloadPsiParallel(
     const GrapesIndex& index, std::span<const gen::Query> workload,
     std::span<const Rewriting> rewritings, const LabelStats& stats,

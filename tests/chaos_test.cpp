@@ -18,9 +18,10 @@
 //    deterministic — two runs produce the same record stream.
 //
 // Covers all three index configurations of the paper's experiments: the
-// NFV runner (single data graph), Grapes FTV (pipelined, filter-sharded)
-// and GGSX FTV (races assembled in-test — there is no Ψ-parallel GGSX
-// runner). Runs under ASan and TSan in the CI chaos job.
+// NFV runner (single data graph), Grapes FTV (filter-sharded index,
+// probe-first pair plans) and GGSX FTV (races assembled in-test — there
+// is no Ψ-parallel GGSX runner). Runs under ASan and TSan in the CI chaos
+// job.
 
 #include <gtest/gtest.h>
 
@@ -180,7 +181,8 @@ TEST(ChaosTest, NfvZeroFaultScheduleIsDeterministic) {
 }
 
 // ---------------------------------------------------------------------
-// Grapes FTV leg: the pipelined filter-sharded runner, kPool.
+// Grapes FTV leg: the query-cursor runner over a filter-sharded index,
+// kPool.
 // ---------------------------------------------------------------------
 
 TEST(ChaosTest, FtvGrapesAbsorbedSchedulesPreserveRecords) {
@@ -193,7 +195,7 @@ TEST(ChaosTest, FtvGrapesAbsorbedSchedulesPreserveRecords) {
   o.seed = 905;
   const GraphDataset ds = gen::GraphGenLike(o);
   GrapesOptions go;
-  go.filter_shards = 4;  // exercises the pipelined path + ftv.filter
+  go.filter_shards = 4;  // the runner still filters each query serially
   GrapesIndex index(go);
   ASSERT_TRUE(index.Build(ds).ok());
   ASSERT_GT(index.num_filter_shards(), 1u);

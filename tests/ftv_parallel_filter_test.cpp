@@ -17,7 +17,7 @@
 //    races on one shared executor — runs under TSan in CI.
 //  * Determinism: RunFtvWorkloadPsiParallel on a sharded index produces
 //    records identical (order and content) to the serial runner's, even
-//    with shard shedding/rejection and a capacity-0 pool.
+//    on a rejecting, shedding or capacity-0 pool.
 
 #include <gtest/gtest.h>
 
@@ -467,7 +467,7 @@ TEST_F(FtvParallelFilterTest, EightClientsHammerShardedFilterAndPoolRaces) {
   EXPECT_GT(g.tasks_executed, 0u);
 }
 
-// ---- Pipelined runner determinism --------------------------------------
+// ---- Parallel runner determinism ---------------------------------------
 
 void ExpectSameRecords(const std::vector<FtvPairRecord>& serial,
                        const std::vector<FtvPairRecord>& parallel,

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <thread>
 
+#include "fault/failpoint.hpp"
 #include "gen/dataset_gen.hpp"
 #include "gen/query_gen.hpp"
 #include "tests/test_util.hpp"
@@ -274,6 +276,70 @@ TEST(RacerTest, CompletedNoMatchIsAValidWin) {
   ASSERT_TRUE(r.completed());
   EXPECT_EQ(r.winner, 1);
   EXPECT_FALSE(r.result.found());
+}
+
+// ---- One-contender kPool races run on the calling thread ----------------
+
+TEST(RacerTest, OneContenderPoolRaceRunsOnTheCallingThread) {
+  Executor exec(2);
+  std::thread::id ran_on;
+  std::vector<RaceVariant> variants;
+  variants.push_back(RaceVariant{"only", [&ran_on](const MatchOptions&) {
+                                   ran_on = std::this_thread::get_id();
+                                   MatchResult r;
+                                   r.complete = true;
+                                   r.embedding_count = 1;
+                                   return r;
+                                 }});
+  RaceOptions o;
+  o.budget = std::chrono::seconds(5);
+  o.mode = RaceMode::kPool;
+  o.executor = &exec;
+  const uint64_t submitted0 = exec.gauges().tasks_submitted;
+  const RaceResult r = Race(variants, o);
+  ASSERT_TRUE(r.completed());
+  EXPECT_EQ(r.mode, RaceMode::kPool);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(exec.gauges().tasks_submitted, submitted0);
+}
+
+TEST(RacerTest, OneContenderPoolRaceAbsorbsAThrowingBody) {
+  Executor exec(2);
+  const std::vector<RaceVariant> variants = {
+      {"throws", [](const MatchOptions&) -> MatchResult {
+         throw std::runtime_error("matcher bug");
+       }}};
+  RaceOptions o;
+  o.budget = std::chrono::seconds(5);
+  o.mode = RaceMode::kPool;
+  o.executor = &exec;
+  const RaceResult r = Race(variants, o);
+  EXPECT_FALSE(r.completed());
+  EXPECT_EQ(r.variant_crashes, 1u);
+  EXPECT_TRUE(r.workers[0].result.cancelled);
+  EXPECT_EQ(r.mode, RaceMode::kPool);
+}
+
+TEST(RacerTest, OneContenderPoolRaceKeepsTheWatchdog) {
+  // ChaosTest.WatchdogTearsDownWedgedRace with one contender: an armed
+  // watchdog keeps the race on the pool, where it can abandon the body.
+  const auto wedged = [](const MatchOptions&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    MatchResult r;
+    r.complete = false;
+    r.cancelled = true;
+    return r;
+  };
+  const std::vector<RaceVariant> variants = {{"wedge", wedged}};
+  RaceOptions o;
+  o.budget = std::chrono::milliseconds(20);
+  o.mode = RaceMode::kPool;
+  o.watchdog_grace = std::chrono::milliseconds(20);
+  const uint64_t fires0 = FaultStats::Instance().watchdog_fires();
+  const RaceResult r = Race(variants, o);
+  EXPECT_FALSE(r.completed());
+  EXPECT_TRUE(r.watchdog_fired);
+  EXPECT_EQ(FaultStats::Instance().watchdog_fires() - fires0, 1u);
 }
 
 }  // namespace

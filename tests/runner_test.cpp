@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "core/env.hpp"
+#include "fault/failpoint.hpp"
 #include "gen/dataset_gen.hpp"
 #include "graphql/graphql.hpp"
 #include "spath/spath.hpp"
@@ -177,6 +179,153 @@ TEST(RunnerTest, ParallelFtvPsiMatchesSerialPairs) {
     EXPECT_EQ(serial[i].graph_id, parallel[i].graph_id) << "pair " << i;
     EXPECT_EQ(serial[i].matched, parallel[i].matched) << "pair " << i;
     EXPECT_EQ(serial[i].killed, parallel[i].killed) << "pair " << i;
+  }
+}
+
+/// Ten small GraphGen-like stored graphs; every FTV query below verifies
+/// in microseconds.
+GraphDataset SmallCollection() {
+  gen::GraphGenLikeOptions o;
+  o.num_graphs = 10;
+  o.avg_nodes = 30;
+  o.density = 0.08;
+  o.num_labels = 5;
+  o.seed = 905;
+  return gen::GraphGenLike(o);
+}
+
+void ExpectSameFtvRecords(const std::vector<FtvPairRecord>& want,
+                          const std::vector<FtvPairRecord>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].query_index, got[i].query_index) << "record " << i;
+    EXPECT_EQ(want[i].graph_id, got[i].graph_id) << "record " << i;
+    EXPECT_EQ(want[i].killed, got[i].killed) << "record " << i;
+    EXPECT_EQ(want[i].matched, got[i].matched) << "record " << i;
+    EXPECT_EQ(want[i].status, got[i].status) << "record " << i;
+  }
+}
+
+TEST(RunnerTest, FtvRunnersCountFilteredQueriesOnASingleShardIndex) {
+  const GraphDataset ds = SmallCollection();
+  const LabelStats stats = LabelStats::FromGraphs(ds.graphs());
+  GrapesIndex index;
+  ASSERT_TRUE(index.Build(ds).ok());
+  ASSERT_EQ(index.num_filter_shards(), 1u);
+  auto w = gen::GenerateWorkload(ds, 3, 4, 906);
+  ASSERT_TRUE(w.ok());
+  RunnerOptions ro;
+  ro.cap_ms = 5000.0;
+  ro.max_embeddings = 1;
+  Executor exec(2);
+  const auto records = RunFtvWorkloadPsiParallel(
+      index, *w, AllRewritings(), stats, ro, RaceMode::kPool, &exec);
+  const uint64_t considered = w->size() * ds.size();
+  PoolGauges g;
+  index.filter_stats().AddTo(&g);
+  EXPECT_EQ(g.filter_queries, w->size());
+  EXPECT_EQ(g.filter_candidates_in, considered);
+  EXPECT_EQ(g.filter_candidates_pruned, considered - records.size());
+  // The serial runner counts its filter calls the same way.
+  RunFtvWorkloadPsi(index, *w, AllRewritings(), stats, ro,
+                    RaceMode::kSequential);
+  PoolGauges g2;
+  index.filter_stats().AddTo(&g2);
+  EXPECT_EQ(g2.filter_candidates_in, 2 * considered);
+  EXPECT_EQ(g2.filter_candidates_pruned, 2 * (considered - records.size()));
+}
+
+TEST(RunnerTest, FtvPairPlanProbesOnlyCappedPoolPairs) {
+  RunnerOptions capped;
+  capped.cap_ms = 250.0;
+  RunnerOptions uncapped;
+  uncapped.cap_ms = 0.0;
+  // Every rewriting in one stage: the full race.
+  const auto expect_full_race = [](const QueryPlan& plan) {
+    ASSERT_EQ(plan.num_stages(), 1u);
+    EXPECT_EQ(plan.escalation, EscalationPolicy::kNone);
+    ASSERT_EQ(plan.stages[0].steps.size(), 3u);
+    for (size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(plan.stages[0].steps[i].variant, i);
+    }
+  };
+  expect_full_race(FtvPairPlan(3, capped, RaceMode::kSequential));
+  expect_full_race(FtvPairPlan(3, capped, RaceMode::kThreads));
+  expect_full_race(FtvPairPlan(3, uncapped, RaceMode::kPool));
+  EXPECT_EQ(FtvPairPlan(1, capped, RaceMode::kPool).num_stages(), 1u);
+
+  const QueryPlan staged = FtvPairPlan(3, capped, RaceMode::kPool);
+  ASSERT_EQ(staged.num_stages(), 2u);
+  EXPECT_EQ(staged.escalation, EscalationPolicy::kOnMiss);
+  ASSERT_EQ(staged.stages[0].steps.size(), 1u);
+  EXPECT_EQ(staged.stages[0].steps[0].variant, 0u);
+  EXPECT_NEAR(static_cast<double>(staged.stages[0].budget.count()),
+              capped.cap_ms * 1e6 *
+                  static_cast<double>(PlanProbePercent()) / 100.0,
+              1.0);
+  EXPECT_EQ(staged.stages[1].steps.size(), 3u);
+  EXPECT_EQ(staged.stages[1].budget.count(), 0);  // the pair's whole cap
+}
+
+TEST(RunnerTest, OneFtvQueryWhoseProbesHitSubmitsNoPoolTask) {
+  const GraphDataset ds = SmallCollection();
+  const LabelStats stats = LabelStats::FromGraphs(ds.graphs());
+  GrapesOptions go;
+  go.filter_shards = 4;  // the runner filters serially on any index
+  Executor exec(2);
+  go.executor = &exec;
+  GrapesIndex index(go);
+  ASSERT_TRUE(index.Build(ds).ok());
+  auto w = gen::GenerateWorkload(ds, 1, 4, 906);
+  ASSERT_TRUE(w.ok());
+  RunnerOptions ro;
+  ro.cap_ms = 5000.0;  // a 500 ms probe: every probe hits
+  ro.max_embeddings = 1;
+  const uint64_t submitted0 = exec.gauges().tasks_submitted;
+  const auto records = RunFtvWorkloadPsiParallel(
+      index, *w, AllRewritings(), stats, ro, RaceMode::kPool, &exec);
+  EXPECT_EQ(exec.gauges().tasks_submitted, submitted0);
+  ASSERT_FALSE(records.empty());
+  for (const auto& r : records) {
+    EXPECT_FALSE(r.killed);
+    EXPECT_EQ(r.status, Status::Code::kOk);
+  }
+}
+
+TEST(RunnerTest, SkippedOrCrashedFtvProbesKeepTheRecords) {
+  if (!FaultsCompiledIn()) GTEST_SKIP() << "built with PSI_FAULTS=OFF";
+  const GraphDataset ds = SmallCollection();
+  const LabelStats stats = LabelStats::FromGraphs(ds.graphs());
+  GrapesIndex index;
+  ASSERT_TRUE(index.Build(ds).ok());
+  auto w = gen::GenerateWorkload(ds, 3, 4, 906);
+  ASSERT_TRUE(w.ok());
+  RunnerOptions ro;
+  ro.cap_ms = 5000.0;
+  ro.max_embeddings = 1;
+  Executor exec(2);
+  const auto baseline = RunFtvWorkloadPsiParallel(
+      index, *w, AllRewritings(), stats, ro, RaceMode::kPool, &exec);
+  ASSERT_FALSE(baseline.empty());
+  {
+    // Every probe is skipped, so every pair races every rewriting on the
+    // pool.
+    FaultInjector inject("plan.probe=error:1", 921);
+    const uint64_t submitted0 = exec.gauges().tasks_submitted;
+    ExpectSameFtvRecords(
+        baseline, RunFtvWorkloadPsiParallel(index, *w, AllRewritings(), stats,
+                                            ro, RaceMode::kPool, &exec));
+    EXPECT_GE(exec.gauges().tasks_submitted - submitted0,
+              baseline.size() * AllRewritings().size());
+  }
+  {
+    // The first probe crashes; its pair escalates to the full race.
+    const uint64_t crashes0 = FaultStats::Instance().variant_crashes();
+    FaultInjector inject("race.variant=throw:1:0:1", 922);
+    ExpectSameFtvRecords(
+        baseline, RunFtvWorkloadPsiParallel(index, *w, AllRewritings(), stats,
+                                            ro, RaceMode::kPool, &exec));
+    EXPECT_EQ(FaultStats::Instance().variant_crashes() - crashes0, 1u);
   }
 }
 
