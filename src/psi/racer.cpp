@@ -163,10 +163,13 @@ RaceResult FinishRace(RaceShared& s) {
 /// verdict (OverloadResponse::kFail).
 bool RunsOnCaller(std::span<const RaceVariant> variants,
                   const RaceOptions& options) {
+  if (variants.size() != 1 ||
+      options.on_overload == OverloadResponse::kFail) {
+    return false;
+  }
   const bool watchdog_armed =
       WatchdogGrace(options).count() > 0 && options.budget.count() > 0;
-  return variants.size() == 1 && !watchdog_armed &&
-         options.on_overload != OverloadResponse::kFail;
+  return !watchdog_armed;
 }
 
 RaceResult RaceOnCaller(std::span<const RaceVariant> variants,
