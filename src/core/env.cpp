@@ -139,11 +139,6 @@ int64_t PoolAgingMillis() {
                        std::numeric_limits<int64_t>::max() / 2);
 }
 
-// 0 = auto (one shard per pool worker); negatives clamp to auto.
-int64_t FtvFilterShards() {
-  return EnvIntClamped("PSI_FTV_FILTER_SHARDS", 0, 0, kCountMax);
-}
-
 int64_t GuardPeriod() {
   return EnvIntClamped("PSI_GUARD_PERIOD", 256, 1, kCountMax);
 }

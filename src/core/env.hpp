@@ -63,10 +63,6 @@ std::string PoolOverloadPolicyName();
 /// behaviour).
 int64_t PoolAgingMillis();
 
-/// Shard count of the parallel FTV filter stage (PSI_FTV_FILTER_SHARDS).
-/// <= 0 (the default) means auto: one shard per pool worker.
-int64_t FtvFilterShards();
-
 /// CostGuard poll period — search steps between stop/deadline checks
 /// (PSI_GUARD_PERIOD, default 256). Feeds PsiEngineOptions::guard_period
 /// and, through it, RaceOptions::guard_period.

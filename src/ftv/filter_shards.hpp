@@ -1,44 +1,37 @@
 // The filter-shard layer of the FTV pipeline.
 //
-// The paper's FTV protocol treats filtering as trivial overhead (§4), which
-// holds for thousands of stored graphs but not for the collection sizes the
-// serving system targets: the filter walks every query path over one global
-// trie and touches every stored graph's postings serially. This layer
-// shards the *collection* (the scalable axis): the stored graphs are
-// partitioned into contiguous id ranges, each range gets its own PathTrie,
-// and a query filters every shard as one cancellable TaskGroup on the
-// shared Executor — deadline-aware and admission-controlled exactly like a
-// Ψ-race. Shards the bounded queue rejects or sheds are filtered inline on
-// the caller, so the result is *always* complete and byte-identical to the
-// serial filter (the per-graph filter decision depends only on that
-// graph's own postings, so any partition of the id space commutes with
-// filtering).
+// The paper's FTV protocol treats filtering as trivial overhead (§4): a
+// query's whole filter is one merge join over gid-sorted postings and
+// takes tens of microseconds, so it runs serially on the calling thread.
+// What does not stay trivial as the collection grows is the index
+// *build*, so the collection is sharded: the stored graphs are partitioned
+// into contiguous id ranges, each range gets its own PathTrie, and each
+// range's trie is built by one pool task over its own graphs only. Builds
+// scale with the pool, and the shard tries are identical to what a serial
+// build of each range would produce (a fixed graph yields a deterministic
+// trie). Range tasks the bounded queue rejects or sheds build inline on
+// the caller, so the index is complete under any queue capacity.
 //
-// The same ranges drive the parallel index *build*: each shard's trie is
-// built by one pool task over its own graphs only, so builds scale with
-// the pool and the shard tries are identical to what a serial build of
-// each range would produce (a fixed graph yields a deterministic trie).
-//
-// A single-shard index is the one-range case: one trie over every graph.
-// Both engines filter any (trie, graph-id range) with the same merge join
-// over gid-sorted postings (ForEachCoveringGraph); only what a covering
-// graph turns into — a gid for GGSX, a gid with its components for
-// Grapes — stays in the engine modules (grapes/grapes.hpp, ggsx/ggsx.hpp).
+// The filter walks the shard tries in range order, one after another.
+// The per-graph decision depends only on that graph's own postings, so
+// any partition of the id space gives the serial single-trie filter's
+// candidate set, in the same gid-ascending order. A single-shard index is
+// the one-range case: one trie over every graph. Both engines filter a
+// (trie, graph-id range) with the same merge join (ForEachCoveringGraph);
+// only what a covering graph turns into — a gid for GGSX, a gid with its
+// components for Grapes — stays in the engine modules (grapes/grapes.hpp,
+// ggsx/ggsx.hpp).
 
 #ifndef PSI_FTV_FILTER_SHARDS_HPP_
 #define PSI_FTV_FILTER_SHARDS_HPP_
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <iterator>
 #include <span>
 #include <vector>
 
-#include "core/status.hpp"
 #include "exec/executor.hpp"
 #include "ftv/path_index.hpp"
 #include "metrics/metrics.hpp"
@@ -62,64 +55,30 @@ std::vector<ShardRange> ComputeShardRanges(uint32_t num_graphs,
                                            uint32_t num_shards);
 
 /// Resolves the effective filter-shard count: `requested` when > 0, else
-/// PSI_FTV_FILTER_SHARDS when set, else the executor's pool width
-/// (`executor` nullptr means the shared pool — resolved without
-/// instantiating it). The result is clamped to [1, collection_size]
-/// (collection_size 0 resolves to 1).
+/// the executor's pool width, i.e. one trie per pool worker (`executor`
+/// nullptr means the shared pool — resolved without instantiating it).
+/// The result is clamped to [1, collection_size] (collection_size 0
+/// resolves to 1).
 uint32_t ResolveFilterShards(uint32_t requested, size_t collection_size,
                              const Executor* executor);
 
-/// Thread-safe counters of one sharded filter instance, surfaced through
+/// Thread-safe counters of one index's filter stage, surfaced through
 /// PoolGauges (metrics/metrics.hpp) next to the executor's own gauges.
 /// All methods may be called concurrently.
 class FilterStageStats {
  public:
-  /// One filtered query (a FilterSharded call, or a workload runner's
-  /// serial Filter) over `considered` stored graphs of which `pruned`
-  /// were dropped.
+  /// One filtered query over `considered` stored graphs of which `pruned`
+  /// were dropped (each engine's Filter notes its own calls).
   void NoteQuery(uint64_t considered, uint64_t pruned);
-  /// One shard filter task that ran on the pool.
-  void NoteShardRun() { shards_run_.fetch_add(1, std::memory_order_relaxed); }
-  /// One shard displaced by admission control (rejected or shed) and
-  /// therefore filtered inline on the caller.
-  void NoteShardInline() {
-    shards_inline_.fetch_add(1, std::memory_order_relaxed);
-  }
-  /// Latency of one shard from its first submission to its result being
-  /// ready, for the filter-wait histogram. Queue wait is included; for a
-  /// shard admission control displaced, so is the failed pool attempt
-  /// and the wait for the join before its inline re-run — the metric is
-  /// "how long until this shard's results were available", not pure
-  /// execution time.
-  void NoteShardLatency(double ms);
 
   /// Adds this instance's counters into a PoolGauges snapshot.
   void AddTo(PoolGauges* g) const;
 
  private:
   std::atomic<uint64_t> queries_{0};
-  std::atomic<uint64_t> shards_run_{0};
-  std::atomic<uint64_t> shards_inline_{0};
   std::atomic<uint64_t> candidates_in_{0};
   std::atomic<uint64_t> candidates_pruned_{0};
-  std::atomic<uint64_t> wait_hist_[PoolGauges::kWaitBuckets] = {};
-  std::atomic<uint64_t> wait_count_{0};
-  std::atomic<uint64_t> wait_total_ns_{0};
 };
-
-/// Runs `body(shard)` for every shard in [0, num_shards) as one
-/// cancellable TaskGroup on `executor` (nullptr = the shared pool), with
-/// `deadline` as the group's EDF priority and admission-control standing.
-/// Shards the bounded queue rejects or sheds run inline on the calling
-/// thread after the join, so every shard runs exactly once under any
-/// queue capacity. Returns which shards ran inline. `num_shards <= 1`
-/// runs inline directly and never touches the executor.
-///
-/// The fan-out scaffold behind the sharded trie build and both engines'
-/// FilterSharded.
-std::vector<uint8_t> RunShardTasks(Executor* executor, Deadline deadline,
-                                   size_t num_shards,
-                                   const std::function<void(size_t)>& body);
 
 /// Probe order for the filter's merge join: rarest path first (fewest
 /// postings), stable on ties so the early-exit pattern is deterministic.
@@ -182,69 +141,15 @@ void ForEachCoveringGraph(const PathTrie& trie, ShardRange range,
 }
 
 /// Builds one PathTrie per shard range, each indexing only its own graphs,
-/// as one TaskGroup on `executor` (nullptr = the shared pool; the group
-/// carries `deadline` as its EDF priority). Shards whose build task the
-/// bounded queue displaces are built inline on the calling thread, so the
-/// result is complete under any queue capacity. With a single range the
-/// build is inline and never touches the executor.
+/// as one TaskGroup on `executor` (nullptr = the shared pool). Ranges whose
+/// build task the bounded queue displaces are built inline on the calling
+/// thread, so the result is complete under any queue capacity. With a
+/// single range the build is inline and never touches the executor.
 std::vector<PathTrie> BuildShardTries(const GraphDataset& dataset,
                                       uint32_t max_path_edges,
                                       bool with_components,
                                       std::span<const ShardRange> ranges,
-                                      Executor* executor,
-                                      Deadline deadline = Deadline());
-
-/// The single-shard FilterSharded fallback shared by both engines: runs
-/// the serial `filter` on the calling thread, with the same per-query
-/// prune accounting and latency bookkeeping as the sharded path.
-template <typename FilterFn>
-auto RunSerialFilterFallback(FilterStageStats& stats, size_t collection_size,
-                             const FilterFn& filter) {
-  const auto t0 = Deadline::Clock::now();
-  auto out = filter();
-  stats.NoteQuery(collection_size, collection_size - out.size());
-  stats.NoteShardLatency(std::chrono::duration<double, std::milli>(
-                             Deadline::Clock::now() - t0)
-                             .count());
-  return out;
-}
-
-/// The shared body of both engines' FilterSharded on a sharded index:
-/// runs `filter_shard(si)` (-> std::vector<Candidate> for shard si) for
-/// every shard via RunShardTasks, records per-shard latency, run/inline
-/// counts and the per-query prune accounting into `stats`, and returns
-/// the shard results concatenated in shard order (globally gid-ascending
-/// for contiguous ranges).
-template <typename Candidate, typename ShardFn>
-std::vector<Candidate> RunShardedFilter(Executor* executor, Deadline deadline,
-                                        size_t num_shards,
-                                        size_t collection_size,
-                                        FilterStageStats& stats,
-                                        const ShardFn& filter_shard) {
-  const auto t0 = Deadline::Clock::now();
-  std::vector<std::vector<Candidate>> parts(num_shards);
-  const std::vector<uint8_t> inline_shards =
-      RunShardTasks(executor, deadline, num_shards, [&](size_t si) {
-        parts[si] = filter_shard(si);
-        stats.NoteShardLatency(std::chrono::duration<double, std::milli>(
-                                   Deadline::Clock::now() - t0)
-                                   .count());
-      });
-  for (uint8_t displaced : inline_shards) {
-    if (displaced != 0) {
-      stats.NoteShardInline();
-    } else {
-      stats.NoteShardRun();
-    }
-  }
-  std::vector<Candidate> out;
-  for (auto& part : parts) {
-    out.insert(out.end(), std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()));
-  }
-  stats.NoteQuery(collection_size, collection_size - out.size());
-  return out;
-}
+                                      Executor* executor);
 
 }  // namespace psi
 

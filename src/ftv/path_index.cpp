@@ -1,7 +1,6 @@
 #include "ftv/path_index.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <map>
 #include <numeric>
 
@@ -125,51 +124,6 @@ const PostingList* PathTrie::Find(std::span<const LabelId> labels) const {
     node = static_cast<uint32_t>(next);
   }
   return &nodes_[node].list;
-}
-
-void PathTrie::MergeNode(uint32_t dst, const Node& src_node,
-                         const PathTrie& src) {
-  const PostingList& mine = nodes_[dst].list;
-  const PostingList& theirs = src_node.list;
-  const auto& a = mine.postings;
-  const auto& b = theirs.postings;
-  PostingList merged;
-  merged.postings.reserve(a.size() + b.size());
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() || j < b.size()) {
-    const bool take_a =
-        j == b.size() || (i < a.size() && a[i].graph_id <= b[j].graph_id);
-    const bool take_b =
-        i == a.size() || (j < b.size() && b[j].graph_id <= a[i].graph_id);
-    PathPosting out;
-    std::span<const uint32_t> ca;
-    std::span<const uint32_t> cb;
-    if (take_a) {
-      out.graph_id = a[i].graph_id;
-      out.count += a[i].count;
-      ca = mine.ComponentsOf(a[i++]);
-    }
-    if (take_b) {
-      out.graph_id = b[j].graph_id;
-      out.count += b[j].count;
-      cb = theirs.ComponentsOf(b[j++]);
-    }
-    out.comp_begin = static_cast<uint32_t>(merged.components.size());
-    std::set_union(ca.begin(), ca.end(), cb.begin(), cb.end(),
-                   std::back_inserter(merged.components));
-    out.comp_end = static_cast<uint32_t>(merged.components.size());
-    merged.postings.push_back(out);
-  }
-  nodes_[dst].list = std::move(merged);
-  for (const auto& [label, src_child] : src_node.children) {
-    const uint32_t child = ChildOrCreate(dst, label);
-    MergeNode(child, src.nodes_[src_child], src);
-  }
-}
-
-void PathTrie::Merge(const PathTrie& other) {
-  MergeNode(0, other.nodes_[0], other);
 }
 
 std::vector<QueryPath> CollectQueryPaths(const Graph& query,

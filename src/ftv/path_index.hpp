@@ -73,13 +73,8 @@ class PathTrie {
   void AddGraph(uint32_t graph_id, const Graph& g, uint32_t max_edges);
 
   /// Postings for an exact label sequence; nullptr when never seen. The
-  /// pointer is valid until the next AddGraph or Merge.
+  /// pointer is valid until the next AddGraph.
   const PostingList* Find(std::span<const LabelId> labels) const;
-
-  /// Merges `other` into this trie (used by the multi-threaded Grapes
-  /// build, which shards graphs across threads into local tries). A graph
-  /// id present in both gets the summed count and the union of components.
-  void Merge(const PathTrie& other);
 
  private:
   struct Node {
@@ -93,7 +88,6 @@ class PathTrie {
   /// Counts one occurrence at `node` for graph `graph_id`, whose start
   /// vertex lies in `component`.
   void Touch(uint32_t node, uint32_t graph_id, uint32_t component);
-  void MergeNode(uint32_t dst, const Node& src_node, const PathTrie& src);
 
   bool with_components_;
   std::vector<Node> nodes_ = std::vector<Node>(1);  // nodes_[0] = root

@@ -30,38 +30,18 @@ Status GgsxIndex::Build(const GraphDataset& dataset) {
   return Status::OK();
 }
 
-std::vector<uint32_t> GgsxIndex::FilterShard(
-    std::span<const QueryPath> query_paths, uint32_t shard) const {
-  std::vector<uint32_t> out;
-  ForEachCoveringGraph(
-      shard_tries_[shard], shard_ranges_[shard], query_paths,
-      [&](uint32_t gid, auto /*held*/) { out.push_back(gid); });
-  return out;
-}
-
 std::vector<uint32_t> GgsxIndex::Filter(const Graph& query) const {
-  const auto query_paths = CollectPaths(query);
+  if (dataset_ == nullptr) return {};
+  const std::vector<QueryPath> query_paths =
+      CollectQueryPaths(query, options_.max_path_edges);
   std::vector<uint32_t> out;
-  for (uint32_t si = 0; si < shard_tries_.size(); ++si) {
-    const auto part = FilterShard(query_paths, si);
-    out.insert(out.end(), part.begin(), part.end());
+  for (size_t si = 0; si < shard_tries_.size(); ++si) {
+    ForEachCoveringGraph(
+        shard_tries_[si], shard_ranges_[si], query_paths,
+        [&](uint32_t gid, auto /*held*/) { out.push_back(gid); });
   }
+  filter_stats_.NoteQuery(dataset_->size(), dataset_->size() - out.size());
   return out;
-}
-
-std::vector<uint32_t> GgsxIndex::FilterSharded(const Graph& query,
-                                               Deadline deadline) const {
-  const size_t total = dataset_->size();
-  if (shard_tries_.size() <= 1) {
-    return RunSerialFilterFallback(filter_stats_, total,
-                                   [&] { return Filter(query); });
-  }
-  const auto query_paths = CollectPaths(query);
-  return RunShardedFilter<uint32_t>(
-      options_.executor, deadline, shard_tries_.size(), total,
-      filter_stats_, [&](size_t si) {
-        return FilterShard(query_paths, static_cast<uint32_t>(si));
-      });
 }
 
 MatchResult GgsxIndex::VerifyCandidate(const Graph& query, uint32_t graph_id,

@@ -11,24 +11,22 @@
 // component ranges, and the filter is the merge join Grapes runs too
 // (ForEachCoveringGraph), without the component step.
 //
-// Beyond the paper, the index supports the same sharded filter stage as
+// Beyond the paper, the index supports the same range-sharded build as
 // Grapes (ftv/filter_shards.hpp): `filter_shards != 1` splits the
-// collection into per-range tries and FilterSharded prunes the shards
-// concurrently on the shared executor, with candidate sets identical to
-// the serial Filter's.
+// collection into per-range tries built concurrently on the shared
+// executor, and Filter walks them serially, with candidate sets identical
+// to the single trie's.
 
 #ifndef PSI_GGSX_GGSX_HPP_
 #define PSI_GGSX_GGSX_HPP_
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/dataset.hpp"
 #include "core/graph.hpp"
 #include "core/status.hpp"
-#include "core/stop_token.hpp"
 #include "exec/executor.hpp"
 #include "ftv/filter_shards.hpp"
 #include "ftv/path_index.hpp"
@@ -40,12 +38,12 @@ struct GgsxOptions {
   /// Maximum indexed path length in edges ("paths of up to size 4" in the
   /// paper counts vertices, i.e. 3 edges).
   uint32_t max_path_edges = 3;
-  /// Filter-stage shards: 1 (default) is the original single-trie serial
-  /// design; 0 resolves from the environment (PSI_FTV_FILTER_SHARDS,
-  /// auto = pool width); N > 1 explicit. See ftv/filter_shards.hpp.
+  /// Graph-id ranges of the build, each with its own trie: 1 (default) is
+  /// the original single-trie design; 0 means one per pool worker; N > 1
+  /// is explicit. See ftv/filter_shards.hpp.
   uint32_t filter_shards = 1;
-  /// Pool backing the sharded build and FilterSharded; nullptr = the
-  /// process-wide Executor::Shared(). Ignored when single-shard.
+  /// Pool backing a multi-range build; nullptr = the process-wide
+  /// Executor::Shared(). Ignored when the index has a single range.
   Executor* executor = nullptr;
   /// Candidate-index matching kernel for the verification stage
   /// (match/candidate_index.hpp): -1 (default) resolves from the
@@ -60,29 +58,15 @@ class GgsxIndex {
   GgsxIndex() = default;
   explicit GgsxIndex(const GgsxOptions& options) : options_(options) {}
 
-  /// Indexes the dataset (single-threaded when single-shard, as the
-  /// original; per-range shard tries built on the pool otherwise).
+  /// Indexes the dataset (single-threaded on a single range, as the
+  /// original; per-range tries built on the pool otherwise).
   Status Build(const GraphDataset& dataset);
 
   /// Count-based filtering; sound (no false dismissals). Serial on the
-  /// calling thread.
+  /// calling thread; ascending graph ids. Each call is counted in
+  /// filter_stats(); before Build it returns nothing and counts nothing.
+  /// Thread-safe after Build.
   std::vector<uint32_t> Filter(const Graph& query) const;
-
-  /// Sharded filter on the configured executor — one cancellable,
-  /// deadline-aware TaskGroup; displaced shards filter inline, so the
-  /// result always equals Filter's. Thread-safe after Build.
-  std::vector<uint32_t> FilterSharded(const Graph& query,
-                                      Deadline deadline = Deadline()) const;
-
-  /// The query's path index; shared by every shard of one query.
-  std::vector<QueryPath> CollectPaths(const Graph& query) const {
-    return CollectQueryPaths(query, options_.max_path_edges);
-  }
-
-  /// Filters one shard on the calling thread (shard 0 of a single-shard
-  /// index is the whole collection); ascending graph ids.
-  std::vector<uint32_t> FilterShard(std::span<const QueryPath> query_paths,
-                                    uint32_t shard) const;
 
   /// First-match VF2 against the full stored graph `graph_id`.
   MatchResult VerifyCandidate(const Graph& query, uint32_t graph_id,
@@ -90,10 +74,9 @@ class GgsxIndex {
 
   const GraphDataset* dataset() const { return dataset_; }
   const GgsxOptions& options() const { return options_; }
-  /// Number of filter shards, each with its own trie: 1 on a single-shard
-  /// index, 0 before Build or over an empty collection.
+  /// Number of graph-id ranges, each with its own trie: 1 on a
+  /// single-range index, 0 before Build or over an empty collection.
   size_t num_filter_shards() const { return shard_tries_.size(); }
-  std::span<const ShardRange> shard_ranges() const { return shard_ranges_; }
   FilterStageStats& filter_stats() const { return filter_stats_; }
   /// The shared candidate index of stored graph `graph_id`; nullptr when
   /// the matching kernel is disabled for this index.

@@ -15,36 +15,17 @@ namespace psi {
 
 Status GrapesIndex::Build(const GraphDataset& dataset) {
   dataset_ = &dataset;
-  const uint32_t shards = ResolveFilterShards(
-      options_.filter_shards, dataset.size(), options_.executor);
+  // One trie per contiguous graph-id range, built as one TaskGroup on the
+  // pool (ftv/filter_shards.hpp); a single range builds inline. Grapes/N
+  // builds at least num_threads ranges.
+  const uint32_t shards = std::max(
+      ResolveFilterShards(options_.filter_shards, dataset.size(),
+                          options_.executor),
+      std::min<uint32_t>(options_.num_threads, dataset.size()));
   shard_ranges_ = ComputeShardRanges(dataset.size(), shards);
-  const uint32_t threads =
-      std::min<uint32_t>(options_.num_threads, dataset.size());
-  if (shards <= 1 && threads > 1) {
-    // Grapes/N: shard graphs across local tries, then merge them into one
-    // (trie insertion is not thread-safe; local tries keep the hot loop
-    // lock-free).
-    std::vector<PathTrie> locals(threads, PathTrie(/*with_components=*/true));
-    std::vector<std::thread> workers;
-    for (uint32_t t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        for (uint32_t gid = t; gid < dataset.size(); gid += threads) {
-          locals[t].AddGraph(gid, dataset.graph(gid),
-                             options_.max_path_edges);
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
-    for (uint32_t t = 1; t < threads; ++t) locals[0].Merge(locals[t]);
-    locals.erase(locals.begin() + 1, locals.end());
-    shard_tries_ = std::move(locals);
-  } else {
-    // One trie per contiguous graph-id range, built as one TaskGroup on the
-    // pool (ftv/filter_shards.hpp); a single range builds inline.
-    shard_tries_ = BuildShardTries(dataset, options_.max_path_edges,
-                                   /*with_components=*/true, shard_ranges_,
-                                   options_.executor);
-  }
+  shard_tries_ = BuildShardTries(dataset, options_.max_path_edges,
+                                 /*with_components=*/true, shard_ranges_,
+                                 options_.executor);
 
   // Cache component subgraphs for the verification stage, each with its
   // shared candidate index when the matching kernel is enabled (index
@@ -73,9 +54,10 @@ Status GrapesIndex::Build(const GraphDataset& dataset) {
   return Status::OK();
 }
 
-std::vector<GrapesCandidate> GrapesIndex::FilterShard(
-    const Graph& query, std::span<const QueryPath> query_paths,
-    uint32_t shard) const {
+std::vector<GrapesCandidate> GrapesIndex::Filter(const Graph& query) const {
+  if (dataset_ == nullptr) return {};
+  const std::vector<QueryPath> query_paths =
+      CollectQueryPaths(query, options_.max_path_edges);
   // A connected query must embed inside one component, so a candidate
   // keeps only the components that hold every query path, and none left
   // drops the graph; a graph with one component needs no intersection. A
@@ -84,55 +66,33 @@ std::vector<GrapesCandidate> GrapesIndex::FilterShard(
   const bool narrow = query.NumComponents() == 1;
   std::vector<GrapesCandidate> out;
   std::vector<uint32_t> both;
-  ForEachCoveringGraph(
-      shard_tries_[shard], shard_ranges_[shard], query_paths,
-      [&](uint32_t gid, std::span<const std::span<const uint32_t>> held) {
-        const auto ncomp = static_cast<uint32_t>(components_[gid].size());
-        GrapesCandidate c{gid, {}};
-        if (narrow && ncomp > 1) {
-          c.components.assign(held[0].begin(), held[0].end());
-          for (size_t i = 1; i < held.size() && !c.components.empty(); ++i) {
-            both.clear();
-            std::set_intersection(c.components.begin(), c.components.end(),
-                                  held[i].begin(), held[i].end(),
-                                  std::back_inserter(both));
-            c.components.swap(both);
-          }
-          if (c.components.empty()) return;
-        } else {
-          c.components.resize(ncomp);
-          std::iota(c.components.begin(), c.components.end(), 0u);
-        }
-        out.push_back(std::move(c));
-      });
-  return out;
-}
-
-std::vector<GrapesCandidate> GrapesIndex::Filter(const Graph& query) const {
-  const auto query_paths = CollectPaths(query);
-  // Shard results concatenated in range order are globally gid-ascending.
-  std::vector<GrapesCandidate> out;
-  for (uint32_t si = 0; si < shard_tries_.size(); ++si) {
-    auto part = FilterShard(query, query_paths, si);
-    out.insert(out.end(), std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()));
+  const auto visit = [&](uint32_t gid,
+                         std::span<const std::span<const uint32_t>> held) {
+    const auto ncomp = static_cast<uint32_t>(components_[gid].size());
+    GrapesCandidate c{gid, {}};
+    if (narrow && ncomp > 1) {
+      c.components.assign(held[0].begin(), held[0].end());
+      for (size_t i = 1; i < held.size() && !c.components.empty(); ++i) {
+        both.clear();
+        std::set_intersection(c.components.begin(), c.components.end(),
+                              held[i].begin(), held[i].end(),
+                              std::back_inserter(both));
+        c.components.swap(both);
+      }
+      if (c.components.empty()) return;
+    } else {
+      c.components.resize(ncomp);
+      std::iota(c.components.begin(), c.components.end(), 0u);
+    }
+    out.push_back(std::move(c));
+  };
+  // Ranges in order keep the candidates gid-ascending.
+  for (size_t si = 0; si < shard_tries_.size(); ++si) {
+    ForEachCoveringGraph(shard_tries_[si], shard_ranges_[si], query_paths,
+                         visit);
   }
+  filter_stats_.NoteQuery(dataset_->size(), dataset_->size() - out.size());
   return out;
-}
-
-std::vector<GrapesCandidate> GrapesIndex::FilterSharded(
-    const Graph& query, Deadline deadline) const {
-  const size_t total = dataset_->size();
-  if (shard_tries_.size() <= 1) {
-    return RunSerialFilterFallback(filter_stats_, total,
-                                   [&] { return Filter(query); });
-  }
-  const auto query_paths = CollectPaths(query);
-  return RunShardedFilter<GrapesCandidate>(
-      options_.executor, deadline, shard_tries_.size(), total,
-      filter_stats_, [&](size_t si) {
-        return FilterShard(query, query_paths, static_cast<uint32_t>(si));
-      });
 }
 
 MatchResult GrapesIndex::VerifyCandidate(const Graph& query,

@@ -12,25 +12,22 @@
 // one merge join over them; only graphs with more than one component
 // intersect component lists.
 //
-// Index build is parallelised by sharding graphs across threads into local
-// tries that are then merged; verification can fan candidate components out
-// across `num_threads` workers (the paper's Grapes/1 vs Grapes/4).
-//
-// Beyond the paper, the index can shard the *filter stage* itself
-// (ftv/filter_shards.hpp): with `filter_shards != 1` the collection is
-// split into contiguous graph-id ranges, each with its own trie, and
-// `FilterSharded` filters every shard as one deadline-aware TaskGroup on
-// the shared executor. The per-graph decision depends only on that graph's
-// own postings, so the sharded candidate set is byte-identical to the
-// serial `Filter`'s (tests/ftv_parallel_filter_test.cpp holds this across
-// randomized collections, and checks both against a trie-free census).
+// The index build is parallel: the collection is split into contiguous
+// graph-id ranges, each with its own trie built as one task on the shared
+// executor (ftv/filter_shards.hpp). Grapes/N (`num_threads` > 1) builds at
+// least `num_threads` ranges, and `filter_shards` asks for more. `Filter`
+// walks the range tries serially in id order; the per-graph decision
+// depends only on that graph's own postings, so the candidate set is the
+// single trie's whatever the range count (tests/ftv_parallel_filter_test.cpp
+// holds this across randomized collections against a trie-free census).
+// Verification can fan candidate components out across `num_threads`
+// workers (the paper's Grapes/1 vs Grapes/4).
 
 #ifndef PSI_GRAPES_GRAPES_HPP_
 #define PSI_GRAPES_GRAPES_HPP_
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/dataset.hpp"
@@ -48,19 +45,17 @@ struct GrapesOptions {
   /// Maximum indexed path length in edges. The paper's "paths of up to
   /// size 4" counts vertices, i.e. 3 edges.
   uint32_t max_path_edges = 3;
-  /// Worker threads for index build and candidate verification
-  /// (Grapes/1, Grapes/4 in the paper).
+  /// Parallelism of the index build and of candidate verification
+  /// (Grapes/1, Grapes/4 in the paper): the build uses at least this many
+  /// graph-id ranges (capped at the collection size), and verification
+  /// fans components out across this many threads.
   uint32_t num_threads = 1;
-  /// Filter-stage shards: 1 (default) keeps the paper-faithful single
-  /// trie and serial filter; 0 resolves from the environment
-  /// (PSI_FTV_FILTER_SHARDS, auto = pool width); N > 1 is explicit. With
-  /// more than one shard, Build creates one trie per contiguous graph-id
-  /// range (built in parallel on `executor`) and FilterSharded filters
-  /// shards concurrently.
+  /// Graph-id ranges of the build, each with its own trie: 1 (default)
+  /// keeps the paper-faithful single trie; 0 means one per pool worker;
+  /// N > 1 is explicit. Build uses the larger of this and `num_threads`.
   uint32_t filter_shards = 1;
-  /// Pool backing the sharded build and FilterSharded; nullptr = the
-  /// process-wide Executor::Shared(). Ignored when the index is
-  /// single-shard.
+  /// Pool backing a multi-range build; nullptr = the process-wide
+  /// Executor::Shared(). Ignored when the index has a single range.
   Executor* executor = nullptr;
   /// Candidate-index matching kernel for the verification stage
   /// (match/candidate_index.hpp): -1 (default) resolves from the
@@ -87,40 +82,25 @@ class GrapesIndex {
   GrapesIndex() = default;
   explicit GrapesIndex(const GrapesOptions& options) : options_(options) {}
 
-  /// Indexes the dataset: enumerates paths (sharded across threads or
-  /// filter shards), and caches each graph's connected components as
-  /// standalone graphs for the verification stage.
+  /// Indexes the dataset: enumerates paths into one trie per graph-id
+  /// range (the ranges built in parallel on the executor), and caches
+  /// each graph's connected components as standalone graphs for the
+  /// verification stage.
   Status Build(const GraphDataset& dataset);
 
   /// Filter stage: graphs (and their components) whose path counts cover
-  /// the query's. Sound: never drops a true answer. Always serial on the
-  /// calling thread (on a sharded index it walks the shards in order);
-  /// the ground truth FilterSharded is differential-tested against.
+  /// the query's, in ascending graph id. Sound: never drops a true
+  /// answer. Serial on the calling thread: it walks the range tries in
+  /// order. Each call is counted in filter_stats(); before Build it
+  /// returns nothing and counts nothing. Thread-safe after Build.
   std::vector<GrapesCandidate> Filter(const Graph& query) const;
 
-  /// Sharded filter: every shard filters as one task of a cancellable
-  /// TaskGroup on the configured executor; `deadline` is the group's EDF
-  /// priority (and admission-control standing), exactly like a race.
-  /// Shards the bounded queue rejects or sheds are filtered inline on the
-  /// calling thread, so the candidate set is complete — and identical to
-  /// Filter's — under any queue capacity. On a single-shard index this
-  /// degrades to the serial Filter. Thread-safe after Build.
+  /// Forwards to Filter; `deadline` is ignored. Kept only because
+  /// psibench's traced FTV path (psibench/src/harness.cpp) still calls it.
   std::vector<GrapesCandidate> FilterSharded(
-      const Graph& query, Deadline deadline = Deadline()) const;
-
-  /// The query's path index against this index's configuration — shared
-  /// by every shard of one query.
-  std::vector<QueryPath> CollectPaths(const Graph& query) const {
-    return CollectQueryPaths(query, options_.max_path_edges);
+      const Graph& query, Deadline /*deadline*/ = Deadline()) const {
+    return Filter(query);
   }
-
-  /// Filters one shard on the calling thread (shard 0 of a single-shard
-  /// index is the whole collection). `query_paths` must come from
-  /// CollectPaths(query). Candidates are in ascending graph-id order
-  /// within the shard.
-  std::vector<GrapesCandidate> FilterShard(
-      const Graph& query, std::span<const QueryPath> query_paths,
-      uint32_t shard) const;
 
   /// Verification of one candidate: first-match VF2 over its relevant
   /// components (fanned across num_threads workers when > 1); a query
@@ -133,12 +113,11 @@ class GrapesIndex {
 
   const GraphDataset* dataset() const { return dataset_; }
   const GrapesOptions& options() const { return options_; }
-  /// Number of filter shards, each with its own trie: 1 on a single-shard
-  /// index, 0 before Build or over an empty collection.
+  /// Number of graph-id ranges, each with its own trie: 1 on a
+  /// single-range index, 0 before Build or over an empty collection.
   size_t num_filter_shards() const { return shard_tries_.size(); }
-  std::span<const ShardRange> shard_ranges() const { return shard_ranges_; }
-  /// Counters of the sharded filter stage (ftv/filter_shards.hpp);
-  /// surface them with FilterStageStats::AddTo next to Executor::gauges().
+  /// Counters of the filter stage (ftv/filter_shards.hpp); surface them
+  /// with FilterStageStats::AddTo next to Executor::gauges().
   FilterStageStats& filter_stats() const { return filter_stats_; }
   /// The cached component subgraphs of stored graph `graph_id`.
   const std::vector<Graph>& components(uint32_t graph_id) const {

@@ -146,11 +146,6 @@ double PoolGauges::filter_prune_rate() const {
          static_cast<double>(filter_candidates_in);
 }
 
-double PoolGauges::mean_filter_wait_ms() const {
-  if (filter_wait_count == 0) return 0.0;
-  return filter_wait_total_ms / static_cast<double>(filter_wait_count);
-}
-
 std::string FormatPoolGauges(const PoolGauges& g) {
   std::string out = "pool[threads=" + std::to_string(g.num_threads);
   out += " busy=" + std::to_string(g.busy_workers);
@@ -175,56 +170,33 @@ std::string FormatPoolGauges(const PoolGauges& g) {
   return out;
 }
 
-namespace {
-
-std::string FormatWaitHistogram(const uint64_t (&hist)[PoolGauges::kWaitBuckets]) {
+std::string FormatQueueWaitHistogram(const PoolGauges& g) {
   std::string out;
   char buf[64];
   for (size_t i = 0; i < PoolGauges::kWaitBuckets; ++i) {
     if (i + 1 < PoolGauges::kWaitBuckets) {
       std::snprintf(buf, sizeof(buf), "  <%gms\t%llu\n",
                     PoolGauges::kWaitBucketUpperMs[i],
-                    static_cast<unsigned long long>(hist[i]));
+                    static_cast<unsigned long long>(g.queue_wait_hist[i]));
     } else {
       std::snprintf(buf, sizeof(buf), "  >=%gms\t%llu\n",
                     PoolGauges::kWaitBucketUpperMs[i - 1],
-                    static_cast<unsigned long long>(hist[i]));
+                    static_cast<unsigned long long>(g.queue_wait_hist[i]));
     }
     out += buf;
   }
   return out;
 }
 
-}  // namespace
-
-std::string FormatQueueWaitHistogram(const PoolGauges& g) {
-  return FormatWaitHistogram(g.queue_wait_hist);
-}
-
 std::string FormatFilterGauges(const PoolGauges& g) {
   if (g.filter_queries == 0) return "";
   std::string out = "filter[queries=" + std::to_string(g.filter_queries);
-  out += " shards_run=" + std::to_string(g.filter_shards_run);
-  if (g.filter_shards_inline > 0) {
-    out += " shards_inline=" + std::to_string(g.filter_shards_inline);
-  }
   out += " considered=" + std::to_string(g.filter_candidates_in);
   out += " pruned=" + std::to_string(g.filter_candidates_pruned);
   char buf[48];
-  std::snprintf(buf, sizeof(buf), " prune=%.0f%%",
+  std::snprintf(buf, sizeof(buf), " prune=%.0f%%]",
                 100.0 * g.filter_prune_rate());
-  out += buf;
-  if (g.filter_wait_count > 0) {
-    std::snprintf(buf, sizeof(buf), " avg_shard=%.2fms",
-                  g.mean_filter_wait_ms());
-    out += buf;
-  }
-  out += "]";
-  return out;
-}
-
-std::string FormatFilterWaitHistogram(const PoolGauges& g) {
-  return FormatWaitHistogram(g.filter_wait_hist);
+  return out + buf;
 }
 
 std::string FormatKernelGauges(const PoolGauges& g) {

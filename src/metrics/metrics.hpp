@@ -111,8 +111,7 @@ struct PoolGauges {
   static constexpr size_t kWaitBuckets = 6;
   /// Upper bounds (exclusive) of the first kWaitBuckets-1 buckets, in ms.
   static const double kWaitBucketUpperMs[kWaitBuckets - 1];
-  /// Bucket index a wait of `ms` falls into (shared by every histogram
-  /// built over kWaitBucketUpperMs).
+  /// Bucket index a wait of `ms` falls into.
   static size_t WaitBucketFor(double ms);
   uint64_t queue_wait_hist[kWaitBuckets] = {};
   uint64_t queue_wait_count = 0;     ///< dequeued tasks measured
@@ -120,21 +119,12 @@ struct PoolGauges {
 
   // ---- FTV filter-stage counters (src/ftv/filter_shards.hpp) ----
   //
-  // Zero unless a sharded FTV filter contributed its FilterStageStats
-  // into this snapshot (FilterStageStats::AddTo). `filter_shards_run`
-  // counts shard filter tasks that executed on the pool;
-  // `filter_shards_inline` the shards admission control displaced
-  // (rejected or shed) that therefore filtered inline on the caller.
-  uint64_t filter_queries = 0;      ///< sharded filter calls
-  uint64_t filter_shards_run = 0;   ///< shard tasks run on the pool
-  uint64_t filter_shards_inline = 0;  ///< displaced shards, filtered inline
-  uint64_t filter_candidates_in = 0;  ///< stored graphs considered
+  // Zero unless an FTV index contributed its FilterStageStats into this
+  // snapshot (FilterStageStats::AddTo). Every GrapesIndex/GgsxIndex
+  // Filter call counts once.
+  uint64_t filter_queries = 0;            ///< Filter calls
+  uint64_t filter_candidates_in = 0;      ///< stored graphs considered
   uint64_t filter_candidates_pruned = 0;  ///< graphs the filter dropped
-  /// Per-shard filter latency (submission to shard-result ready,
-  /// queue wait included), bucketed like `queue_wait_hist`.
-  uint64_t filter_wait_hist[kWaitBuckets] = {};
-  uint64_t filter_wait_count = 0;
-  double filter_wait_total_ms = 0.0;
 
   // ---- Match-kernel counters (match/candidate_index.hpp) ----
   //
@@ -184,8 +174,6 @@ struct PoolGauges {
   double mean_queue_wait_ms() const;
   /// Fraction of considered stored graphs the filter pruned, in [0, 1].
   double filter_prune_rate() const;
-  /// Mean per-shard filter latency in ms.
-  double mean_filter_wait_ms() const;
 };
 
 /// One-line human-readable rendering for bench output.
@@ -195,11 +183,8 @@ std::string FormatPoolGauges(const PoolGauges& g);
 std::string FormatQueueWaitHistogram(const PoolGauges& g);
 
 /// One-line rendering of the filter-stage counters ("filter[...]"); empty
-/// string when no sharded filter contributed to the snapshot.
+/// string when no filter call contributed to the snapshot.
 std::string FormatFilterGauges(const PoolGauges& g);
-
-/// Multi-line rendering of the per-shard filter latency histogram.
-std::string FormatFilterWaitHistogram(const PoolGauges& g);
 
 /// One-line rendering of the match-kernel counters ("kernel[...]"); empty
 /// string when no MatchKernelStats contributed to the snapshot.

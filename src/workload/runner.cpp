@@ -382,17 +382,13 @@ FtvPairRecord RaceFtvPair(const FtvRun& run, const Graph& query,
 }
 
 /// One query of both Ψ FTV runners, all on the calling thread: plan it,
-/// filter it (counted in the index's filter stats), then race its
-/// candidates in ascending graph id.
+/// filter it, then race its candidates in ascending graph id.
 void RunFtvQuery(const FtvRun& run, const Graph& query, uint32_t query_index,
                  std::vector<FtvPairRecord>* out) {
   QueryPlan planned;
   if (run.planner != nullptr) planned = run.planner->Plan(query);
   const QueryPlan& plan = run.planner != nullptr ? planned : run.pair_plan;
-  const std::vector<GrapesCandidate> cands = run.index.Filter(query);
-  const size_t considered = run.index.dataset()->size();
-  run.index.filter_stats().NoteQuery(considered, considered - cands.size());
-  for (const GrapesCandidate& cand : cands) {
+  for (const GrapesCandidate& cand : run.index.Filter(query)) {
     out->push_back(RaceFtvPair(run, query, cand, query_index, plan));
   }
 }

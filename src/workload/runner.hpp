@@ -162,12 +162,11 @@ std::vector<FtvPairRecord> RunFtvWorkloadPsi(
 /// RunFtvWorkloadPsi with whole queries spread over the calling thread
 /// and at most pool-width helper tasks on `executor` (nullptr = the
 /// shared pool), which take queries from one cursor. Each query runs
-/// RunFtvWorkloadPsi's body on the thread that took it: the serial filter
-/// (never FilterSharded, whatever the index's shard count), then its
-/// pairs; a pair's escalated pool race shares the same pool. A helper
-/// the bounded pool rejects or sheds leaves its queries to the caller, so
-/// the records equal the serial runner's, in its order (queries in
-/// workload order, candidates gid-ascending), under any queue capacity,
+/// RunFtvWorkloadPsi's body on the thread that took it: the serial filter,
+/// then its pairs; a pair's escalated pool race shares the same pool. A
+/// helper the bounded pool rejects or sheds leaves its queries to the
+/// caller, so the records equal the serial runner's, in its order (queries
+/// in workload order, candidates gid-ascending), under any queue capacity,
 /// including capacity 0. A one-query call spawns no helper.
 std::vector<FtvPairRecord> RunFtvWorkloadPsiParallel(
     const GrapesIndex& index, std::span<const gen::Query> workload,

@@ -464,7 +464,7 @@ TEST(CandidateIndexDifferentialTest, GrapesFtvPoolPipelineIdenticalOnVsOff) {
     std::vector<std::vector<FtvPairRecord>> runs;
     for (int on = 0; on < 2; ++on) {
       GrapesOptions go;
-      go.filter_shards = 2;  // sharded: the pipelined runner path
+      go.filter_shards = 2;  // two range tries, filtered serially
       go.executor = &pool;
       go.candidate_index = on;
       GrapesIndex index(go);

@@ -85,10 +85,9 @@ class ScopedEnv {
 /// per site is 5-35%; roughly half the sites participate per seed.
 std::string AbsorbableSchedule(uint64_t seed) {
   static const char* kSites[] = {
-      "exec.admit=reject",   "exec.dequeue=shed", "exec.run=throw",
-      "race.variant=throw",  "rewrite.lookup=miss", "steal.offer=error",
-      "plan.probe=error",    "ftv.filter=throw",  "group.cancel=delay",
-      "steal.pop=delay"};
+      "exec.admit=reject",  "exec.dequeue=shed",   "exec.run=throw",
+      "race.variant=throw", "rewrite.lookup=miss", "plan.probe=error",
+      "group.cancel=delay"};
   std::mt19937_64 rng(seed);
   std::string spec;
   for (const char* site : kSites) {

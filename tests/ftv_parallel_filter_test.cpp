@@ -1,29 +1,30 @@
-// Differential testing of the sharded FTV filter stage
-// (ftv/filter_shards.hpp) against the serial filter, plus its concurrency
-// and determinism contracts:
+// Differential testing of the FTV filter on range-sharded indexes
+// (ftv/filter_shards.hpp) against the single-trie filter, plus its
+// concurrency and determinism contracts:
 //
 //  * Randomized differential harness: across many seeded generated
-//    collections and query workloads, the sharded filter's candidate set
-//    must be byte-identical to the serial filter's (graph ids *and*
-//    component sets), for Grapes and GGSX alike, under any shard count
-//    and under admission-control displacement. PSI_TEST_SEEDS overrides
-//    the seed count (default 100; CI's TSan job runs fewer).
-//  * Census oracle: the serial filter's candidates must equal ones
-//    computed without any trie, from per-component label-path counts
+//    collections and query workloads, the candidate set of an index
+//    built as several graph-id ranges (explicit filter_shards, or
+//    Grapes/N's num_threads) must be byte-identical to the single trie's
+//    (graph ids *and* component sets), for Grapes and GGSX alike, and
+//    with range builds displaced by admission control. PSI_TEST_SEEDS
+//    overrides the seed count (default 100; CI's TSan job runs fewer).
+//  * Census oracle: the filter's candidates must equal ones computed
+//    without any trie, from per-component label-path counts
 //    (CollectQueryPaths over each extracted component).
 //  * Soundness oracle: no pruned graph may embed the query (first-match
 //    VF2 as ground truth).
-//  * 8-client stress: concurrent FilterSharded calls and kPool engine
-//    races on one shared executor — runs under TSan in CI.
-//  * Determinism: RunFtvWorkloadPsiParallel on a sharded index produces
-//    records identical (order and content) to the serial runner's, even
-//    on a rejecting, shedding or capacity-0 pool.
+//  * 8-client stress: concurrent Filter calls on a sharded index next to
+//    kPool engine races on one shared executor — runs under TSan in CI.
+//  * Determinism: RunFtvWorkloadPsiParallel, whose helper tasks serve
+//    whole queries, produces records identical (order and content) to
+//    the serial runner's on a sharded index, even on a rejecting,
+//    shedding or capacity-0 pool.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -185,29 +186,24 @@ TEST(FilterShardsTest, ComputeShardRangesPartitionsExactly) {
 }
 
 TEST(FilterShardsTest, ResolveFilterShardsPrecedence) {
-  // Pin the env knob for the duration: an exported PSI_FTV_FILTER_SHARDS
-  // in the developer's shell must not skew the precedence chain under
-  // test.
-  const char* saved = std::getenv("PSI_FTV_FILTER_SHARDS");
-  const std::string saved_value = saved != nullptr ? saved : "";
-  ::unsetenv("PSI_FTV_FILTER_SHARDS");
-
   Executor exec(ExecutorOptions{.num_threads = 3});
   EXPECT_EQ(ResolveFilterShards(5, 100, &exec), 5u);   // explicit wins
   EXPECT_EQ(ResolveFilterShards(0, 100, &exec), 3u);   // pool width
   EXPECT_EQ(ResolveFilterShards(64, 10, &exec), 10u);  // clamped
   EXPECT_EQ(ResolveFilterShards(0, 0, &exec), 1u);
   EXPECT_EQ(ResolveFilterShards(1, 100, &exec), 1u);   // explicit serial
+}
 
-  ::setenv("PSI_FTV_FILTER_SHARDS", "7", 1);
-  EXPECT_EQ(ResolveFilterShards(0, 100, &exec), 7u);  // env beats pool width
-  EXPECT_EQ(ResolveFilterShards(5, 100, &exec), 5u);  // explicit beats env
-
-  if (saved != nullptr) {
-    ::setenv("PSI_FTV_FILTER_SHARDS", saved_value.c_str(), 1);
-  } else {
-    ::unsetenv("PSI_FTV_FILTER_SHARDS");
-  }
+TEST(FilterShardsTest, FilterBeforeBuildIsEmptyAndUncounted) {
+  const Graph query = testing::MakePath({0, 1});
+  GrapesIndex grapes;
+  GgsxIndex ggsx;
+  EXPECT_TRUE(grapes.Filter(query).empty());
+  EXPECT_TRUE(ggsx.Filter(query).empty());
+  PoolGauges g;
+  grapes.filter_stats().AddTo(&g);
+  ggsx.filter_stats().AddTo(&g);
+  EXPECT_EQ(g.filter_queries, 0u);
 }
 
 // ---- The randomized differential harness -------------------------------
@@ -243,16 +239,25 @@ TEST_F(FtvParallelFilterTest, ShardedGrapesFilterMatchesSerialAcrossSeeds) {
     ASSERT_TRUE(sharded.Build(ds).ok());
     ASSERT_GT(sharded.num_filter_shards(), 1u);
 
+    // Grapes/N: one range per build thread through the same range build.
+    GrapesOptions multi_opts;
+    multi_opts.num_threads = 2 + seed % 3;  // 2..4 threads
+    multi_opts.filter_shards = 1;
+    multi_opts.executor = exec_;
+    GrapesIndex multi(multi_opts);
+    ASSERT_TRUE(multi.Build(ds).ok());
+    ASSERT_EQ(multi.num_filter_shards(),
+              std::min<size_t>(multi_opts.num_threads, ds.size()));
+
     for (const gen::Query& q : MakeQueries(ds, seed)) {
       const auto base = serial.Filter(q.graph);
       ExpectSameCandidates(
           CensusFilter(census, q.graph, max_edges, /*narrow=*/true), base,
           seed, "census");
-      ExpectSameCandidates(base, sharded.FilterSharded(q.graph), seed,
-                           "FilterSharded");
-      // The sharded index's serial walk must agree too.
       ExpectSameCandidates(base, sharded.Filter(q.graph), seed,
                            "sharded Filter");
+      ExpectSameCandidates(base, multi.Filter(q.graph), seed,
+                           "Grapes/N Filter");
       ++queries_checked;
     }
   }
@@ -282,7 +287,6 @@ TEST_F(FtvParallelFilterTest, ShardedGgsxFilterMatchesSerialAcrossSeeds) {
         expected.push_back(c.graph_id);
       }
       EXPECT_EQ(expected, base) << "census, seed=" << seed;
-      EXPECT_EQ(base, sharded.FilterSharded(q.graph)) << "seed=" << seed;
       EXPECT_EQ(base, sharded.Filter(q.graph)) << "seed=" << seed;
     }
   }
@@ -304,7 +308,7 @@ TEST_F(FtvParallelFilterTest, ShardedFilterIsSoundAgainstVf2Oracle) {
     ASSERT_TRUE(sharded.Build(ds).ok());
     for (const gen::Query& q : MakeQueries(ds, seed)) {
       std::set<uint32_t> kept;
-      for (const auto& c : sharded.FilterSharded(q.graph)) {
+      for (const auto& c : sharded.Filter(q.graph)) {
         kept.insert(c.graph_id);
       }
       for (uint32_t gid = 0; gid < ds.size(); ++gid) {
@@ -331,7 +335,7 @@ TEST_F(FtvParallelFilterTest, DisconnectedQueryKeepsAllComponents) {
   // all-components fallback path in both filters.
   const Graph query = testing::MakeGraph({0, 1, 0, 1}, {{0, 1}, {2, 3}});
   ASSERT_GT(query.NumComponents(), 1u);
-  ExpectSameCandidates(serial.Filter(query), sharded.FilterSharded(query), 3,
+  ExpectSameCandidates(serial.Filter(query), sharded.Filter(query), 3,
                        "disconnected");
 }
 
@@ -344,13 +348,13 @@ TEST_F(FtvParallelFilterTest, AbsentLabelEmptiesEveryShard) {
   ASSERT_TRUE(sharded.Build(ds).ok());
   // Label 1000 exists in no generated collection.
   const Graph query = testing::MakePath({1000, 1000});
-  EXPECT_TRUE(sharded.FilterSharded(query).empty());
   EXPECT_TRUE(sharded.Filter(query).empty());
 }
 
 TEST_F(FtvParallelFilterTest, DisplacedShardsFilterInlineAndStayIdentical) {
-  // A capacity-0 pool rejects every shard task: the whole filter runs
-  // inline on the caller — and must still be byte-identical.
+  // A capacity-0 pool rejects every range-build task: every shard trie is
+  // built inline on the caller — and the filter must still be
+  // byte-identical.
   Executor rejecting(
       ExecutorOptions{.num_threads = 1, .queue_capacity = 0});
   const GraphDataset ds = MakeCollection(4);
@@ -360,15 +364,15 @@ TEST_F(FtvParallelFilterTest, DisplacedShardsFilterInlineAndStayIdentical) {
   opts.filter_shards = 4;
   opts.executor = &rejecting;
   GrapesIndex sharded(opts);
-  ASSERT_TRUE(sharded.Build(ds).ok());  // build shards also went inline
+  ASSERT_TRUE(sharded.Build(ds).ok());  // build shards went inline
+  ASSERT_EQ(sharded.num_filter_shards(), 4u);
   for (const gen::Query& q : MakeQueries(ds, 4)) {
-    ExpectSameCandidates(serial.Filter(q.graph),
-                         sharded.FilterSharded(q.graph), 4, "capacity-0");
+    ExpectSameCandidates(serial.Filter(q.graph), sharded.Filter(q.graph), 4,
+                         "capacity-0");
   }
   PoolGauges g = rejecting.gauges();
   sharded.filter_stats().AddTo(&g);
-  EXPECT_EQ(g.filter_shards_run, 0u);
-  EXPECT_GT(g.filter_shards_inline, 0u);
+  EXPECT_EQ(g.tasks_rejected, sharded.num_filter_shards());
   EXPECT_GT(g.filter_queries, 0u);
 }
 
@@ -383,7 +387,7 @@ TEST_F(FtvParallelFilterTest, FilterGaugesCountPrunedCandidates) {
   ASSERT_FALSE(queries.empty());
   uint64_t survivors = 0;
   for (const gen::Query& q : queries) {
-    survivors += sharded.FilterSharded(q.graph).size();
+    survivors += sharded.Filter(q.graph).size();
   }
   PoolGauges g;
   sharded.filter_stats().AddTo(&g);
@@ -391,11 +395,6 @@ TEST_F(FtvParallelFilterTest, FilterGaugesCountPrunedCandidates) {
   EXPECT_EQ(g.filter_candidates_in, queries.size() * ds.size());
   EXPECT_EQ(g.filter_candidates_pruned,
             queries.size() * ds.size() - survivors);
-  EXPECT_EQ(g.filter_shards_run + g.filter_shards_inline,
-            queries.size() * sharded.num_filter_shards());
-  uint64_t hist_total = 0;
-  for (uint64_t b : g.filter_wait_hist) hist_total += b;
-  EXPECT_EQ(hist_total, g.filter_wait_count);
   EXPECT_GE(g.filter_prune_rate(), 0.0);
   EXPECT_FALSE(FormatFilterGauges(g).empty());
 }
@@ -411,11 +410,11 @@ TEST_F(FtvParallelFilterTest, EightClientsHammerShardedFilterAndPoolRaces) {
   ASSERT_TRUE(sharded.Build(ds).ok());
   const auto queries = MakeQueries(ds, 8);
   ASSERT_FALSE(queries.empty());
-  // Serial ground truth per query, computed up front.
+  // Ground truth per query, computed up front on one thread.
   std::vector<std::vector<GrapesCandidate>> truth;
   for (const auto& q : queries) truth.push_back(sharded.Filter(q.graph));
 
-  // An NFV engine racing on the *same* pool as the filter shards.
+  // An NFV engine racing on the pool that built the shard tries.
   const Graph data = gen::YeastLike(/*scale=*/8, /*seed=*/881);
   PsiEngineOptions eo;
   eo.mode = RaceMode::kPool;
@@ -440,14 +439,13 @@ TEST_F(FtvParallelFilterTest, EightClientsHammerShardedFilterAndPoolRaces) {
         if ((c + it) % 2 == 0) {
           // Filter client.
           const size_t qi = (c + it) % queries.size();
-          const auto got = sharded.FilterSharded(
-              queries[qi].graph, Deadline::AfterMillis(250));
+          const auto got = sharded.Filter(queries[qi].graph);
           if (!(got.size() == truth[qi].size() &&
                 std::equal(got.begin(), got.end(), truth[qi].begin()))) {
             mismatches.fetch_add(1);
           }
         } else {
-          // Racing client on the same pool.
+          // Racing client on the shared pool.
           const size_t qi = (c + it) % nfv->size();
           const auto got = engine.Contains((*nfv)[qi].graph);
           if (got.ok() != nfv_truth[qi].ok() ||

@@ -101,53 +101,6 @@ TEST(PathTrieTest, FindMissingReturnsNull) {
   EXPECT_EQ(trie.Find(std::vector<LabelId>{0, 1, 1}), nullptr);
 }
 
-TEST(PathTrieTest, MergeCombinesCountsAndComponents) {
-  PathTrie a(true), b(true);
-  a.AddGraph(0, MakePath({0, 1}), 1);
-  b.AddGraph(0, MakePath({0, 1}), 1);  // same graph id contributes again
-  b.AddGraph(1, MakePath({0, 1}), 1);
-  a.Merge(b);
-  const PostingList* list = a.Find(std::vector<LabelId>{0, 1});
-  ASSERT_NE(list, nullptr);
-  EXPECT_EQ(PostingOf(*list, 0)->count, 2u);
-  EXPECT_EQ(PostingOf(*list, 1)->count, 1u);
-  EXPECT_EQ(ComponentsOf(*list, 0), (std::vector<uint32_t>{0}));
-  EXPECT_EQ(ComponentsOf(*list, 1), (std::vector<uint32_t>{0}));
-}
-
-TEST(PathTrieTest, MergedEqualsSequentialBuild) {
-  gen::GraphGenLikeOptions o;
-  o.num_graphs = 6;
-  o.avg_nodes = 25;
-  o.num_labels = 4;
-  o.seed = 5;
-  auto ds = gen::GraphGenLike(o);
-
-  PathTrie sequential(true);
-  for (uint32_t gid = 0; gid < ds.size(); ++gid) {
-    sequential.AddGraph(gid, ds.graph(gid), 2);
-  }
-  PathTrie shard_a(true), shard_b(true);
-  for (uint32_t gid = 0; gid < ds.size(); ++gid) {
-    (gid % 2 == 0 ? shard_a : shard_b).AddGraph(gid, ds.graph(gid), 2);
-  }
-  shard_a.Merge(shard_b);
-
-  // Compare on the query paths of each graph.
-  for (uint32_t gid = 0; gid < ds.size(); ++gid) {
-    for (const auto& qp : CollectQueryPaths(ds.graph(gid), 2)) {
-      const PostingList* p1 = sequential.Find(qp.labels);
-      const PostingList* p2 = shard_a.Find(qp.labels);
-      ASSERT_NE(p1, nullptr);
-      ASSERT_NE(p2, nullptr);
-      ASSERT_NE(PostingOf(*p1, gid), nullptr);
-      ASSERT_NE(PostingOf(*p2, gid), nullptr);
-      EXPECT_EQ(PostingOf(*p1, gid)->count, PostingOf(*p2, gid)->count);
-      EXPECT_EQ(ComponentsOf(*p1, gid), ComponentsOf(*p2, gid));
-    }
-  }
-}
-
 TEST(CollectQueryPathsTest, CountsMatchEnumeration) {
   const Graph q = MakeCycle({0, 1, 0, 1});
   auto paths = CollectQueryPaths(q, 2);

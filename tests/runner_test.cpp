@@ -235,6 +235,35 @@ TEST(RunnerTest, FtvRunnersCountFilteredQueriesOnASingleShardIndex) {
   EXPECT_EQ(g2.filter_candidates_pruned, 2 * (considered - records.size()));
 }
 
+TEST(RunnerTest, BaselineFtvRunnersCountFilteredQueries) {
+  // The plain Grapes and GGSX runners the paper-figure benches use count
+  // their filter calls too: each Filter call notes itself in the index.
+  const GraphDataset ds = SmallCollection();
+  auto w = gen::GenerateWorkload(ds, 3, 4, 907);
+  ASSERT_TRUE(w.ok());
+  RunnerOptions ro;
+  ro.cap_ms = 5000.0;
+  const uint64_t considered = w->size() * ds.size();
+
+  GrapesIndex grapes;
+  ASSERT_TRUE(grapes.Build(ds).ok());
+  const auto grapes_records = RunFtvWorkload(grapes, *w, ro);
+  PoolGauges g;
+  grapes.filter_stats().AddTo(&g);
+  EXPECT_EQ(g.filter_queries, w->size());
+  EXPECT_EQ(g.filter_candidates_in, considered);
+  EXPECT_EQ(g.filter_candidates_pruned, considered - grapes_records.size());
+
+  GgsxIndex ggsx;
+  ASSERT_TRUE(ggsx.Build(ds).ok());
+  const auto ggsx_records = RunFtvWorkload(ggsx, *w, ro);
+  PoolGauges g2;
+  ggsx.filter_stats().AddTo(&g2);
+  EXPECT_EQ(g2.filter_queries, w->size());
+  EXPECT_EQ(g2.filter_candidates_in, considered);
+  EXPECT_EQ(g2.filter_candidates_pruned, considered - ggsx_records.size());
+}
+
 TEST(RunnerTest, FtvPairPlanProbesOnlyCappedPoolPairs) {
   RunnerOptions capped;
   capped.cap_ms = 250.0;
