@@ -1,12 +1,15 @@
 // FTV index scaling: the serial single-trie build vs range-sharded builds
 // (ftv/filter_shards.hpp) on executor pools of growing width.
 //
-// Two quantities, both for Grapes-style (locations) indexes:
+// Three quantities, all for Grapes-style (locations) indexes:
 //  * index build time — a sharded build runs one trie task per graph-id
 //    range on the pool, one range per pool worker (filter_shards = 0);
 //    best of three builds per row;
 //  * filter throughput — queries/second over a repeated workload,
-//    filtering only (no verification), with `Filter` on each index.
+//    filtering only (no verification), with `Filter` on each index;
+//  * index size — postings over the index's range tries
+//    (GrapesIndex::num_postings), one per (canonical label path, graph)
+//    pair, so every row of one collection reads the same count.
 //
 // `Filter` walks an index's range tries serially with one merge-join
 // kernel (ForEachCoveringGraph in ftv/filter_shards.hpp), so the ranges
@@ -121,11 +124,13 @@ int main(int argc, char** argv) {
   if (serial == nullptr) return 1;
   const FilterRun base = MeasureFilter(*serial, workload, repeats);
   std::printf("%-20s build=%7.1fms (worst %7.1fms)  filter=%8.1f q/s  "
-              "candidates=%zu\n",
+              "candidates=%zu  postings=%zu\n",
               "serial/single-trie", serial_build.best_ms,
-              serial_build.worst_ms, base.qps, base.candidates);
+              serial_build.worst_ms, base.qps, base.candidates,
+              serial->num_postings());
   json.Metric("serial_build_ms", serial_build.best_ms);
   json.Metric("serial_filter_qps", base.qps);
+  json.Metric("serial_postings", static_cast<double>(serial->num_postings()));
 
   bool identical = true;
   double width4_build_ms = 0.0;
@@ -155,13 +160,16 @@ int main(int argc, char** argv) {
     const double build_speedup =
         build.best_ms > 0.0 ? serial_build.best_ms / build.best_ms : 0.0;
     std::printf("%-20s build=%7.1fms (worst %7.1fms)  filter=%8.1f q/s  "
-                "build speedup=%.2fx  filter=%.2fx serial\n",
+                "build speedup=%.2fx  filter=%.2fx serial  postings=%zu\n",
                 label, build.best_ms, build.worst_ms, run.qps,
-                build_speedup, base.qps > 0.0 ? run.qps / base.qps : 0.0);
+                build_speedup, base.qps > 0.0 ? run.qps / base.qps : 0.0,
+                sharded->num_postings());
     const std::string key = "width" + std::to_string(width);
     json.Metric(key + "_build_ms", build.best_ms);
     json.Metric(key + "_build_speedup", build_speedup);
     json.Metric(key + "_filter_qps", run.qps);
+    json.Metric(key + "_postings",
+                static_cast<double>(sharded->num_postings()));
     if (width == 4) width4_build_ms = build.best_ms;
 
     PoolGauges g = exec.gauges();

@@ -87,13 +87,15 @@ class FilterStageStats {
 std::vector<size_t> ProbeOrder(
     std::span<const std::span<const PathPosting>> postings);
 
-/// The path filter over the graph ids of `range` in `trie`: calls
-/// `visit(graph_id, held)` for every graph whose count covers every query
-/// path's, in ascending graph id. `held[i]` is the graph's component ids
-/// for query_paths[i] (empty when the trie keeps none). Each path's
-/// postings are clipped to the range and merged rarest first; a path
-/// absent from the range ends the filter at once. With no query path
-/// every graph in the range is visited with an empty `held`.
+/// The path filter over `trie`, which indexes exactly the graph ids of
+/// `range`: calls `visit(graph_id, held)` for every graph whose count
+/// covers every query path's, in ascending graph id. `held[i]` is the
+/// graph's component ids for query_paths[i] (empty when the trie keeps
+/// none). Each path's whole posting list is merged, rarest first: a range
+/// trie holds postings of its own graphs only (BuildShardTries), so no
+/// list needs clipping to the range. A path absent from the trie ends the
+/// filter at once. The range is read only when there is no query path:
+/// then every graph in it is visited with an empty `held`.
 template <typename Visit>
 void ForEachCoveringGraph(const PathTrie& trie, ShardRange range,
                           std::span<const QueryPath> query_paths,
@@ -110,9 +112,8 @@ void ForEachCoveringGraph(const PathTrie& trie, ShardRange range,
   std::vector<std::span<const PathPosting>> runs(n);
   for (size_t i = 0; i < n; ++i) {
     lists[i] = trie.Find(query_paths[i].labels);
-    if (lists[i] == nullptr) return;
-    runs[i] = lists[i]->Clip(range.begin, range.end);
-    if (runs[i].empty()) return;
+    if (lists[i] == nullptr || lists[i]->postings.empty()) return;
+    runs[i] = lists[i]->postings;
   }
   const std::vector<size_t> order = ProbeOrder(runs);
   const size_t lead = order[0];

@@ -28,6 +28,11 @@ void ExtendPaths(const Graph& g, uint32_t max_edges,
 
 }  // namespace
 
+bool IsCanonicalPath(std::span<const LabelId> labels) {
+  return !std::lexicographical_compare(labels.rbegin(), labels.rend(),
+                                       labels.begin(), labels.end());
+}
+
 void EnumeratePaths(const Graph& g, uint32_t max_edges,
                     const PathVisitor& visitor) {
   std::vector<VertexId> path;
@@ -40,17 +45,6 @@ void EnumeratePaths(const Graph& g, uint32_t max_edges,
                   return 0;
                 });
   }
-}
-
-std::span<const PathPosting> PostingList::Clip(uint32_t begin,
-                                               uint32_t end) const {
-  const auto before = [](const PathPosting& p, uint32_t gid) {
-    return p.graph_id < gid;
-  };
-  const auto lo =
-      std::lower_bound(postings.begin(), postings.end(), begin, before);
-  const auto hi = std::lower_bound(lo, postings.end(), end, before);
-  return {lo, hi};
 }
 
 int32_t PathTrie::FindChild(uint32_t node, LabelId l) const {
@@ -105,10 +99,15 @@ void PathTrie::AddGraph(uint32_t graph_id, const Graph& g,
                      return comp_of[a] < comp_of[b];
                    });
   std::vector<VertexId> path;
+  // The labels of `path`: the DFS rewrites only the last entry, so the
+  // prefix always holds the current path's ancestors.
+  std::vector<LabelId> labels;
   for (VertexId start : starts) {
     const auto enter = [&](std::span<const VertexId> p, uint32_t parent) {
-      const uint32_t node = ChildOrCreate(parent, g.label(p.back()));
-      Touch(node, graph_id, comp_of[start]);
+      labels.resize(p.size());
+      labels.back() = g.label(p.back());
+      const uint32_t node = ChildOrCreate(parent, labels.back());
+      if (IsCanonicalPath(labels)) Touch(node, graph_id, comp_of[start]);
       return node;
     };
     path.assign(1, start);
@@ -124,6 +123,12 @@ const PostingList* PathTrie::Find(std::span<const LabelId> labels) const {
     node = static_cast<uint32_t>(next);
   }
   return &nodes_[node].list;
+}
+
+size_t PathTrie::num_postings() const {
+  size_t total = 0;
+  for (const Node& node : nodes_) total += node.list.postings.size();
+  return total;
 }
 
 std::vector<QueryPath> CollectQueryPaths(const Graph& query,
@@ -142,6 +147,15 @@ std::vector<QueryPath> CollectQueryPaths(const Graph& query,
     out.push_back(QueryPath{seq, count});
   }
   return out;
+}
+
+std::vector<QueryPath> CanonicalQueryPaths(const Graph& query,
+                                           uint32_t max_edges) {
+  std::vector<QueryPath> paths = CollectQueryPaths(query, max_edges);
+  std::erase_if(paths, [](const QueryPath& qp) {
+    return !IsCanonicalPath(qp.labels);
+  });
+  return paths;
 }
 
 }  // namespace psi

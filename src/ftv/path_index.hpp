@@ -13,6 +13,17 @@
 // Filtering is count-based and sound: if query q embeds in graph g, every
 // occurrence of a label path in q maps injectively to an occurrence in g,
 // so count_g(p) >= count_q(p) must hold for every query path p.
+//
+// A path is enumerated once per direction, so every path with an edge is
+// found twice: as label sequence p and as its reverse rev(p). Reversal maps
+// the directed occurrences of p one to one onto those of rev(p), and an
+// occurrence and its reverse lie in the same connected component, so p and
+// rev(p) have equal counts and equal component lists in every graph (and in
+// every query). The trie therefore records each path in one orientation
+// only, the canonical one (IsCanonicalPath: the sequence sorts no later than
+// its reverse), and the filters test only canonical query paths: the
+// dropped conditions repeat the kept ones, so the candidate sets and their
+// component lists are those of the two-orientation index.
 
 #ifndef PSI_FTV_PATH_INDEX_HPP_
 #define PSI_FTV_PATH_INDEX_HPP_
@@ -26,6 +37,11 @@
 #include "core/status.hpp"
 
 namespace psi {
+
+/// True when `labels` sorts no later than its reverse: the orientation in
+/// which the trie records a label path and the filters look it up. Every
+/// 0-edge path and every palindrome is canonical.
+bool IsCanonicalPath(std::span<const LabelId> labels);
 
 /// Visits every simple path of 0..max_edges edges from every start vertex.
 /// The visitor receives the path as a vertex sequence (front = start).
@@ -56,8 +72,6 @@ struct PostingList {
     return std::span<const uint32_t>(components)
         .subspan(p.comp_begin, p.comp_end - p.comp_begin);
   }
-  /// The postings whose graph ids lie in [begin, end).
-  std::span<const PathPosting> Clip(uint32_t begin, uint32_t end) const;
 };
 
 /// Trie over label sequences with per-graph postings.
@@ -68,13 +82,20 @@ class PathTrie {
 
   /// Indexes every path of `g` (id `graph_id`) up to `max_edges`: one DFS
   /// per start vertex carries the trie node down the path and appends one
-  /// posting per node it touches. Graph ids must be added in ascending
-  /// order, each at most once.
+  /// posting per canonical node it touches. A reversed (non-canonical)
+  /// sequence still gets its node, since longer paths descend through it,
+  /// but never a posting. Graph ids must be added in ascending order, each
+  /// at most once.
   void AddGraph(uint32_t graph_id, const Graph& g, uint32_t max_edges);
 
-  /// Postings for an exact label sequence; nullptr when never seen. The
-  /// pointer is valid until the next AddGraph.
+  /// Postings for an exact label sequence; nullptr when never seen, an
+  /// empty list when seen only in its reversed orientation. The pointer is
+  /// valid until the next AddGraph.
   const PostingList* Find(std::span<const LabelId> labels) const;
+
+  /// Postings over every node, i.e. the index's size in (path, graph)
+  /// pairs.
+  size_t num_postings() const;
 
  private:
   struct Node {
@@ -93,14 +114,19 @@ class PathTrie {
   std::vector<Node> nodes_ = std::vector<Node>(1);  // nodes_[0] = root
 };
 
-/// Enumerates the query's label paths and their occurrence counts —
-/// the "query index" matched against the dataset trie during filtering.
+/// Enumerates the query's label paths, in both orientations, and their
+/// occurrence counts, ascending by label sequence.
 struct QueryPath {
   std::vector<LabelId> labels;
   uint32_t count = 0;
 };
 std::vector<QueryPath> CollectQueryPaths(const Graph& query,
                                          uint32_t max_edges);
+
+/// CollectQueryPaths without the non-canonical paths: the "query index"
+/// the filters join against the dataset trie, one condition per path.
+std::vector<QueryPath> CanonicalQueryPaths(const Graph& query,
+                                           uint32_t max_edges);
 
 }  // namespace psi
 

@@ -33,7 +33,7 @@ Status GgsxIndex::Build(const GraphDataset& dataset) {
 std::vector<uint32_t> GgsxIndex::Filter(const Graph& query) const {
   if (dataset_ == nullptr) return {};
   const std::vector<QueryPath> query_paths =
-      CollectQueryPaths(query, options_.max_path_edges);
+      CanonicalQueryPaths(query, options_.max_path_edges);
   std::vector<uint32_t> out;
   for (size_t si = 0; si < shard_tries_.size(); ++si) {
     ForEachCoveringGraph(

@@ -54,10 +54,16 @@ Status GrapesIndex::Build(const GraphDataset& dataset) {
   return Status::OK();
 }
 
+size_t GrapesIndex::num_postings() const {
+  size_t total = 0;
+  for (const PathTrie& trie : shard_tries_) total += trie.num_postings();
+  return total;
+}
+
 std::vector<GrapesCandidate> GrapesIndex::Filter(const Graph& query) const {
   if (dataset_ == nullptr) return {};
   const std::vector<QueryPath> query_paths =
-      CollectQueryPaths(query, options_.max_path_edges);
+      CanonicalQueryPaths(query, options_.max_path_edges);
   // A connected query must embed inside one component, so a candidate
   // keeps only the components that hold every query path, and none left
   // drops the graph; a graph with one component needs no intersection. A

@@ -116,6 +116,9 @@ class GrapesIndex {
   /// Number of graph-id ranges, each with its own trie: 1 on a
   /// single-range index, 0 before Build or over an empty collection.
   size_t num_filter_shards() const { return shard_tries_.size(); }
+  /// Postings over every range trie (PathTrie::num_postings): the index's
+  /// size in (label path, graph) pairs.
+  size_t num_postings() const;
   /// Counters of the filter stage (ftv/filter_shards.hpp); surface them
   /// with FilterStageStats::AddTo next to Executor::gauges().
   FilterStageStats& filter_stats() const { return filter_stats_; }

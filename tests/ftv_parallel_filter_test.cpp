@@ -11,7 +11,8 @@
 //    overrides the seed count (default 100; CI's TSan job runs fewer).
 //  * Census oracle: the filter's candidates must equal ones computed
 //    without any trie, from per-component label-path counts
-//    (CollectQueryPaths over each extracted component).
+//    (CollectQueryPaths over each extracted component, every path in
+//    both orientations), at indexed path lengths of 0 to 3 edges.
 //  * Soundness oracle: no pruned graph may embed the query (first-match
 //    VF2 as ground truth).
 //  * 8-client stress: concurrent Filter calls on a sharded index next to
@@ -227,12 +228,17 @@ TEST_F(FtvParallelFilterTest, ShardedGrapesFilterMatchesSerialAcrossSeeds) {
   int queries_checked = 0;
   for (int seed = 1; seed <= seeds; ++seed) {
     const GraphDataset ds = MakeCollection(seed);
-    GrapesIndex serial;  // default options: single trie, serial filter
+    // Path lengths 0..3 edges: the 0-edge-only filter, and palindromes of
+    // odd and even length.
+    const auto max_edges = static_cast<uint32_t>(seed % 4);
+    GrapesOptions serial_opts;  // single trie, serial filter
+    serial_opts.max_path_edges = max_edges;
+    GrapesIndex serial(serial_opts);
     ASSERT_TRUE(serial.Build(ds).ok());
-    const uint32_t max_edges = serial.options().max_path_edges;
     const PathCensus census = TakeCensus(ds, max_edges);
 
     GrapesOptions sharded_opts;
+    sharded_opts.max_path_edges = max_edges;
     sharded_opts.filter_shards = 2 + seed % 4;  // 2..5 shards
     sharded_opts.executor = exec_;
     GrapesIndex sharded(sharded_opts);
@@ -241,6 +247,7 @@ TEST_F(FtvParallelFilterTest, ShardedGrapesFilterMatchesSerialAcrossSeeds) {
 
     // Grapes/N: one range per build thread through the same range build.
     GrapesOptions multi_opts;
+    multi_opts.max_path_edges = max_edges;
     multi_opts.num_threads = 2 + seed % 3;  // 2..4 threads
     multi_opts.filter_shards = 1;
     multi_opts.executor = exec_;
@@ -268,12 +275,15 @@ TEST_F(FtvParallelFilterTest, ShardedGgsxFilterMatchesSerialAcrossSeeds) {
   const int seeds = NumSeeds();
   for (int seed = 1; seed <= seeds; ++seed) {
     const GraphDataset ds = MakeCollection(seed);
-    GgsxIndex serial;
+    const auto max_edges = static_cast<uint32_t>(seed % 4);
+    GgsxOptions serial_opts;
+    serial_opts.max_path_edges = max_edges;
+    GgsxIndex serial(serial_opts);
     ASSERT_TRUE(serial.Build(ds).ok());
-    const uint32_t max_edges = serial.options().max_path_edges;
     const PathCensus census = TakeCensus(ds, max_edges);
 
     GgsxOptions sharded_opts;
+    sharded_opts.max_path_edges = max_edges;
     sharded_opts.filter_shards = 2 + seed % 3;
     sharded_opts.executor = exec_;
     GgsxIndex sharded(sharded_opts);

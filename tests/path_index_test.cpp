@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
 
 #include "gen/dataset_gen.hpp"
 #include "gen/query_gen.hpp"
@@ -48,8 +50,10 @@ TEST(EnumeratePathsTest, MaxEdgesZeroGivesVerticesOnly) {
 
 /// The posting of graph `gid` in `list`; nullptr when it has none.
 const PathPosting* PostingOf(const PostingList& list, uint32_t gid) {
-  const auto run = list.Clip(gid, gid + 1);
-  return run.empty() ? nullptr : &run.front();
+  const auto it = std::lower_bound(
+      list.postings.begin(), list.postings.end(), gid,
+      [](const PathPosting& p, uint32_t g) { return p.graph_id < g; });
+  return it == list.postings.end() || it->graph_id != gid ? nullptr : &*it;
 }
 
 std::vector<uint32_t> ComponentsOf(const PostingList& list, uint32_t gid) {
@@ -82,6 +86,117 @@ TEST(PathTrieTest, CountsAndComponents) {
   ASSERT_EQ(list->postings.size(), 2u);
   EXPECT_EQ(list->postings[0].graph_id, 7u);
   EXPECT_EQ(list->postings[1].graph_id, 8u);
+}
+
+/// True when `labels` has no posting in `trie`: never seen, or seen only
+/// as the reverse of a recorded path.
+bool HasNoPosting(const PathTrie& trie, std::vector<LabelId> labels) {
+  const PostingList* list = trie.Find(labels);
+  return list == nullptr || list->postings.empty();
+}
+
+TEST(PathTrieTest, RecordsOnlyTheCanonicalOrientation) {
+  PathTrie trie(/*with_components=*/true);
+  trie.AddGraph(0, MakePath({0, 1, 0}), 2);
+  trie.AddGraph(1, MakePath({0, 1, 2}), 2);
+  // "0 1" sorts before its reverse "1 0": graph 0 holds it from both
+  // ends, graph 1 once.
+  const PostingList* ab = trie.Find(std::vector<LabelId>{0, 1});
+  ASSERT_NE(ab, nullptr);
+  ASSERT_EQ(ab->postings.size(), 2u);
+  EXPECT_EQ(PostingOf(*ab, 0)->count, 2u);
+  EXPECT_EQ(PostingOf(*ab, 1)->count, 1u);
+  EXPECT_EQ(ComponentsOf(*ab, 0), (std::vector<uint32_t>{0}));
+  EXPECT_EQ(ComponentsOf(*ab, 1), (std::vector<uint32_t>{0}));
+  // A palindrome is its own reverse: both directions count.
+  const PostingList* aba = trie.Find(std::vector<LabelId>{0, 1, 0});
+  ASSERT_NE(aba, nullptr);
+  ASSERT_EQ(aba->postings.size(), 1u);
+  EXPECT_EQ(PostingOf(*aba, 0)->count, 2u);
+  EXPECT_EQ(ComponentsOf(*aba, 0), (std::vector<uint32_t>{0}));
+  const PostingList* abc = trie.Find(std::vector<LabelId>{0, 1, 2});
+  ASSERT_NE(abc, nullptr);
+  ASSERT_EQ(abc->postings.size(), 1u);
+  EXPECT_EQ(PostingOf(*abc, 1)->count, 1u);
+  EXPECT_EQ(ComponentsOf(*abc, 1), (std::vector<uint32_t>{0}));
+  // The reversed orientations carry nothing.
+  EXPECT_TRUE(HasNoPosting(trie, {1, 0}));
+  EXPECT_TRUE(HasNoPosting(trie, {2, 1, 0}));
+  // Ten (sequence, graph) pairs, where both orientations would make 14.
+  EXPECT_EQ(trie.num_postings(), 10u);
+}
+
+TEST(PathTrieTest, CanonicalPostingsMatchEnumeration) {
+  // The trie against a restatement of its contract over EnumeratePaths:
+  // per canonical label sequence (one that sorts no later than its
+  // reverse) and graph, the occurrence count and the sorted distinct
+  // components of the occurrences' start vertices; no posting for any
+  // other sequence.
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    GraphDataset ds;
+    if (seed % 2 == 0) {
+      gen::GraphGenLikeOptions o;
+      o.num_graphs = 5;
+      o.avg_nodes = 30;
+      o.density = 0.08;
+      o.num_labels = 3 + static_cast<uint32_t>(seed);
+      o.seed = seed * 31 + 7;
+      ds = gen::GraphGenLike(o);
+    } else {
+      gen::PpiLikeOptions o;
+      o.num_graphs = 4;
+      o.avg_nodes = 40;
+      o.avg_degree = 4.0;
+      o.num_labels = 6;
+      o.labels_per_graph = 3 + static_cast<uint32_t>(seed % 3);
+      o.components_per_graph = 3;
+      o.seed = seed * 37 + 5;
+      ds = gen::PpiLike(o);
+    }
+    const uint32_t max_edges = static_cast<uint32_t>(seed % 4);
+    PathTrie trie(/*with_components=*/true);
+    struct Expected {
+      uint32_t count = 0;
+      std::set<uint32_t> components;
+    };
+    std::map<std::vector<LabelId>, std::map<uint32_t, Expected>> expected;
+    for (uint32_t gid = 0; gid < ds.size(); ++gid) {
+      const Graph& g = ds.graph(gid);
+      trie.AddGraph(gid, g, max_edges);
+      EnumeratePaths(g, max_edges, [&](std::span<const VertexId> p) {
+        std::vector<LabelId> labels;
+        for (VertexId v : p) labels.push_back(g.label(v));
+        Expected& e = expected[labels][gid];
+        ++e.count;
+        e.components.insert(g.ComponentIds()[p.front()]);
+      });
+    }
+    size_t canonical_postings = 0;
+    for (const auto& [labels, by_graph] : expected) {
+      const std::vector<LabelId> reversed(labels.rbegin(), labels.rend());
+      if (reversed < labels) {
+        EXPECT_TRUE(HasNoPosting(trie, labels)) << "seed=" << seed;
+        continue;
+      }
+      const PostingList* list = trie.Find(labels);
+      ASSERT_NE(list, nullptr) << "seed=" << seed;
+      ASSERT_EQ(list->postings.size(), by_graph.size()) << "seed=" << seed;
+      size_t i = 0;
+      for (const auto& [gid, e] : by_graph) {
+        const PathPosting& p = list->postings[i++];
+        EXPECT_EQ(p.graph_id, gid) << "seed=" << seed;
+        EXPECT_EQ(p.count, e.count) << "seed=" << seed << " graph=" << gid;
+        const auto comps = list->ComponentsOf(p);
+        EXPECT_EQ(std::vector<uint32_t>(comps.begin(), comps.end()),
+                  std::vector<uint32_t>(e.components.begin(),
+                                        e.components.end()))
+            << "seed=" << seed << " graph=" << gid;
+      }
+      canonical_postings += by_graph.size();
+    }
+    // Nothing beyond the enumerated canonical (sequence, graph) pairs.
+    EXPECT_EQ(trie.num_postings(), canonical_postings) << "seed=" << seed;
+  }
 }
 
 TEST(PathTrieTest, NoComponentsWhenDisabled) {
@@ -134,9 +249,15 @@ TEST(CollectQueryPathsTest, QueryPathCountsNeverExceedSourceGraph) {
   ASSERT_TRUE(w.ok());
   for (const auto& query : *w) {
     for (const auto& qp : CollectQueryPaths(query.graph, 3)) {
-      const PostingList* list = trie.Find(qp.labels);
+      // The trie records a path under its canonical orientation, whose
+      // count equals the reversed orientation's.
+      std::vector<LabelId> labels = qp.labels;
+      if (!IsCanonicalPath(labels)) std::reverse(labels.begin(), labels.end());
+      const PostingList* list = trie.Find(labels);
       ASSERT_NE(list, nullptr) << "query path missing from source";
-      EXPECT_GE(PostingOf(*list, 0)->count, qp.count);
+      const PathPosting* posting = PostingOf(*list, 0);
+      ASSERT_NE(posting, nullptr) << "query path missing from source";
+      EXPECT_GE(posting->count, qp.count);
     }
   }
 }
