@@ -6,7 +6,8 @@
 //    range on the pool, one range per pool worker (filter_shards = 0);
 //    best of three builds per row;
 //  * filter throughput — queries/second over a repeated workload,
-//    filtering only (no verification), with `Filter` on each index;
+//    filtering only (no verification), with `Filter` on each index; best
+//    and worst of five windows of at least 200 ms each per row;
 //  * index size — postings over the index's range tries
 //    (GrapesIndex::num_postings), one per (canonical label path, graph)
 //    pair, so every row of one collection reads the same count.
@@ -75,28 +76,37 @@ std::unique_ptr<GrapesIndex> TimeBuilds(const GrapesOptions& options,
 }
 
 struct FilterRun {
-  double qps = 0.0;
+  double best_qps = 0.0;
+  double worst_qps = 0.0;
   size_t candidates = 0;
 };
 
-/// One unmeasured warm-up pass, then `repeats` measured passes of Filter
-/// over the workload.
+/// One unmeasured warm-up pass, then kWindows timed windows. Each window
+/// repeats whole passes of Filter over the workload until it has run for
+/// kWindowMs, so a row's rate does not hang on a few milliseconds of
+/// timing.
+constexpr int kWindows = 5;
+constexpr double kWindowMs = 200.0;
 FilterRun MeasureFilter(const GrapesIndex& index,
-                        std::span<const gen::Query> workload, int repeats) {
+                        std::span<const gen::Query> workload) {
   for (const gen::Query& q : workload) index.Filter(q.graph);
   FilterRun run;
-  const auto t0 = Clock::now();
-  for (int r = 0; r < repeats; ++r) {
-    run.candidates = 0;
-    for (const gen::Query& q : workload) {
-      run.candidates += index.Filter(q.graph).size();
-    }
+  for (int w = 0; w < kWindows; ++w) {
+    size_t queries = 0;
+    double ms = 0.0;
+    const auto t0 = Clock::now();
+    do {
+      run.candidates = 0;
+      for (const gen::Query& q : workload) {
+        run.candidates += index.Filter(q.graph).size();
+      }
+      queries += workload.size();
+      ms = MsSince(t0);
+    } while (ms < kWindowMs);
+    const double qps = 1000.0 * static_cast<double>(queries) / ms;
+    run.best_qps = w == 0 ? qps : std::max(run.best_qps, qps);
+    run.worst_qps = w == 0 ? qps : std::min(run.worst_qps, qps);
   }
-  const double ms = MsSince(t0);
-  run.qps = ms > 0.0
-                ? 1000.0 * static_cast<double>(workload.size()) *
-                      static_cast<double>(repeats) / ms
-                : 0.0;
   return run;
 }
 
@@ -116,20 +126,20 @@ int main(int argc, char** argv) {
               ds.size(), workload.size());
   json.Metric("hardware_concurrency",
               static_cast<double>(std::thread::hardware_concurrency()));
-  const int repeats = 20;
 
   // Serial baseline: the single-trie index, built inline.
   BuildRun serial_build;
   const auto serial = TimeBuilds(GrapesOptions{}, ds, &serial_build);
   if (serial == nullptr) return 1;
-  const FilterRun base = MeasureFilter(*serial, workload, repeats);
-  std::printf("%-20s build=%7.1fms (worst %7.1fms)  filter=%8.1f q/s  "
-              "candidates=%zu  postings=%zu\n",
+  const FilterRun base = MeasureFilter(*serial, workload);
+  std::printf("%-20s build=%7.1fms (worst %7.1fms)  filter=%8.1f q/s "
+              "(worst %8.1f)  candidates=%zu  postings=%zu\n",
               "serial/single-trie", serial_build.best_ms,
-              serial_build.worst_ms, base.qps, base.candidates,
-              serial->num_postings());
+              serial_build.worst_ms, base.best_qps, base.worst_qps,
+              base.candidates, serial->num_postings());
   json.Metric("serial_build_ms", serial_build.best_ms);
-  json.Metric("serial_filter_qps", base.qps);
+  json.Metric("serial_filter_qps", base.best_qps);
+  json.Metric("serial_filter_qps_worst", base.worst_qps);
   json.Metric("serial_postings", static_cast<double>(serial->num_postings()));
 
   bool identical = true;
@@ -145,7 +155,7 @@ int main(int argc, char** argv) {
     BuildRun build;
     const auto sharded = TimeBuilds(go, ds, &build);
     if (sharded == nullptr) return 1;
-    const FilterRun run = MeasureFilter(*sharded, workload, repeats);
+    const FilterRun run = MeasureFilter(*sharded, workload);
     // Candidate-set identity spot check (the differential harness in
     // tests/ftv_parallel_filter_test.cpp is the exhaustive version).
     for (const gen::Query& q : workload) {
@@ -159,15 +169,18 @@ int main(int argc, char** argv) {
                   sharded->num_filter_shards());
     const double build_speedup =
         build.best_ms > 0.0 ? serial_build.best_ms / build.best_ms : 0.0;
-    std::printf("%-20s build=%7.1fms (worst %7.1fms)  filter=%8.1f q/s  "
-                "build speedup=%.2fx  filter=%.2fx serial  postings=%zu\n",
-                label, build.best_ms, build.worst_ms, run.qps,
-                build_speedup, base.qps > 0.0 ? run.qps / base.qps : 0.0,
+    std::printf("%-20s build=%7.1fms (worst %7.1fms)  filter=%8.1f q/s "
+                "(worst %8.1f)  build speedup=%.2fx  filter=%.2fx serial  "
+                "postings=%zu\n",
+                label, build.best_ms, build.worst_ms, run.best_qps,
+                run.worst_qps, build_speedup,
+                base.best_qps > 0.0 ? run.best_qps / base.best_qps : 0.0,
                 sharded->num_postings());
     const std::string key = "width" + std::to_string(width);
     json.Metric(key + "_build_ms", build.best_ms);
     json.Metric(key + "_build_speedup", build_speedup);
-    json.Metric(key + "_filter_qps", run.qps);
+    json.Metric(key + "_filter_qps", run.best_qps);
+    json.Metric(key + "_filter_qps_worst", run.worst_qps);
     json.Metric(key + "_postings",
                 static_cast<double>(sharded->num_postings()));
     if (width == 4) width4_build_ms = build.best_ms;

@@ -16,7 +16,6 @@
 #include "core/label_stats.hpp"
 #include "graphql/graphql.hpp"
 #include "match/candidate_index.hpp"
-#include "match/intersect.hpp"
 #include "metrics/metrics.hpp"
 #include "psi/portfolio.hpp"
 #include "quicksi/quicksi.hpp"
@@ -46,23 +45,21 @@ struct Arm {
   uint64_t bitset_checks = 0;
   uint64_t slice_candidates = 0;
   uint64_t multiway = 0;
-  uint64_t simd_gallops = 0;
   uint64_t shortcuts = 0;
-  uint64_t embeddings = 0;
+  std::vector<uint64_t> embeddings;  // per query
+  std::vector<bool> complete;        // per query
 };
 
 // Serial per-matcher workload pass, accumulating the effort counters the
-// runner records discard. `multiway`/`simd` ride the MatchOptions
-// tri-states (-1 = environment default).
+// runner records discard.
 Arm RunArm(const Matcher& m, std::span<const gen::Query> workload,
-           double cap_ms, int multiway = -1, int simd = -1,
+           double cap_ms, bool multiway = true,
            uint64_t max_embeddings = 1000 /* paper §3.2 */) {
   Arm a;
   for (const auto& q : workload) {
     MatchOptions mo;
     mo.max_embeddings = max_embeddings;
     mo.multiway = multiway;
-    mo.simd = simd;
     if (cap_ms > 0) {
       mo.deadline = Deadline::After(
           std::chrono::nanoseconds(static_cast<int64_t>(cap_ms * 1e6)));
@@ -75,11 +72,42 @@ Arm RunArm(const Matcher& m, std::span<const gen::Query> workload,
     a.bitset_checks += r.stats.bitset_edge_checks;
     a.slice_candidates += r.stats.slice_candidates;
     a.multiway += r.stats.multiway_intersections;
-    a.simd_gallops += r.stats.simd_galloped;
     a.shortcuts += r.stats.intersection_shortcuts;
-    a.embeddings += r.embedding_count;
+    a.embeddings.push_back(r.embedding_count);
+    a.complete.push_back(r.complete);
   }
   return a;
+}
+
+// False, with a message on stderr, unless every query of `arm` ran to
+// completion. A query cut off by the per-query cap has no comparable
+// count, so it fails the bench instead of reading as a divergence.
+bool AllComplete(const Arm& arm, const char* matcher, const char* tag,
+                 double cap_ms) {
+  for (size_t i = 0; i < arm.complete.size(); ++i) {
+    if (!arm.complete[i]) {
+      std::cerr << "INCOMPLETE: " << matcher << "/" << tag << " query " << i
+                << " hit the " << cap_ms
+                << " ms cap; rerun with a larger PSI_CAP_MS\n";
+      return false;
+    }
+  }
+  return true;
+}
+
+// False, with a message on stderr, unless `got` found as many embeddings
+// as `want` on every query. Both arms must be complete (AllComplete).
+bool SameAnswers(const Arm& got, const Arm& want, const char* matcher,
+                 const char* tag) {
+  for (size_t i = 0; i < want.embeddings.size(); ++i) {
+    if (got.embeddings[i] != want.embeddings[i]) {
+      std::cerr << "ANSWER DIVERGENCE in " << matcher << "/" << tag
+                << " query " << i << ": " << got.embeddings[i] << " vs "
+                << want.embeddings[i] << "\n";
+      return false;
+    }
+  }
+  return true;
 }
 
 double Ratio(double num, double den) { return den > 0 ? num / den : 0.0; }
@@ -111,9 +139,9 @@ std::vector<gen::Query> CyclicWorkload(const Graph& g,
 }
 
 // --multiway: the WCOJ extension kernel (match/intersect.hpp) against the
-// PR 5 enumerate-then-check path, all under the shared index — legacy
-// (multiway off) vs. multiway at the scalar level vs. multiway at the
-// active SIMD level. Same workload, same answers, fewer candidates tried.
+// enumerate-then-check path, both under the shared index — legacy
+// (multiway off) vs. multiway on. Same workload, same answers, fewer
+// candidates tried.
 int RunMultiwayComparison(JsonOut& json, const Graph& g, double cap_ms) {
   // Small cyclic motifs (triangles, squares, diamonds, near-cliques):
   // nearly every extension past depth 1 closes a cycle, which is the
@@ -122,23 +150,19 @@ int RunMultiwayComparison(JsonOut& json, const Graph& g, double cap_ms) {
   // tree enumeration the kernel rightly leaves to the anchored path.
   const auto workload =
       CyclicWorkload(g, {3, 4, 5, 6}, QueriesPerSize(12), /*seed=*/20260808);
-  std::cout << "cyclic workload: " << workload.size() << " queries\n";
+  std::cout << "cyclic workload: " << workload.size() << " queries\n\n";
   const auto shared_index = CandidateIndex::Build(g);
-  std::cout << "active SIMD level: " << ToString(ActiveSimdLevel()) << "\n\n";
-  json.Metric("simd_level", static_cast<double>(ActiveSimdLevel()));
 
   const char* names[] = {"VF2", "QSI", "GQL", "SPA"};
   struct ArmSpec {
     const char* tag;
-    int multiway;
-    int simd;
+    bool multiway;
   };
-  const ArmSpec arms[] = {
-      {"legacy", 0, 0}, {"scalar", 1, 0}, {"simd", 1, -1}};
-  double wall[3] = {0, 0, 0};
-  uint64_t tried[3] = {0, 0, 0};
-  std::cout << "matcher  arm      wall_ms      tried   multiway  "
-               "gallops  shortcuts\n";
+  const ArmSpec arms[] = {{"legacy", false}, {"multiway", true}};
+  double wall[2] = {0, 0};
+  uint64_t tried[2] = {0, 0};
+  std::cout << "matcher  arm        wall_ms      tried   multiway  "
+               "shortcuts\n";
   for (int which = 0; which < 4; ++which) {
     auto m = MakeMatcher(which);
     m->set_candidate_index(shared_index);
@@ -151,62 +175,50 @@ int RunMultiwayComparison(JsonOut& json, const Graph& g, double cap_ms) {
     // costs (stage-1 candidate building, path decomposition) dominate the
     // way the 1000-cap serving runs do.
     constexpr uint64_t kDeepCap = 100000;
-    Arm results[3];
-    RunArm(*m, workload, cap_ms, 0, 0, kDeepCap);  // warm-up
-    for (int a = 0; a < 3; ++a) {
+    Arm results[2];
+    RunArm(*m, workload, cap_ms, false, kDeepCap);  // warm-up
+    for (int a = 0; a < 2; ++a) {
       // Best-of-3: counters are deterministic across rounds; wall-clock
       // takes the least-disturbed round.
-      results[a] = RunArm(*m, workload, cap_ms, arms[a].multiway,
-                          arms[a].simd, kDeepCap);
-      for (int round = 1; round < 3; ++round) {
-        const Arm r = RunArm(*m, workload, cap_ms, arms[a].multiway,
-                             arms[a].simd, kDeepCap);
-        if (r.wall_ms < results[a].wall_ms) results[a] = r;
+      for (int round = 0; round < 3; ++round) {
+        Arm r = RunArm(*m, workload, cap_ms, arms[a].multiway, kDeepCap);
+        if (!AllComplete(r, names[which], arms[a].tag, cap_ms)) return 1;
+        if (round == 0 || r.wall_ms < results[a].wall_ms) {
+          results[a] = std::move(r);
+        }
       }
-      std::printf("%-7s  %-6s  %9.2f  %9llu  %9llu  %7llu  %9llu\n",
-                  names[which], arms[a].tag, results[a].wall_ms,
+      std::printf("%-7s  %-8s  %9.2f  %9llu  %9llu  %9llu\n", names[which],
+                  arms[a].tag, results[a].wall_ms,
                   static_cast<unsigned long long>(results[a].tried),
                   static_cast<unsigned long long>(results[a].multiway),
-                  static_cast<unsigned long long>(results[a].simd_gallops),
                   static_cast<unsigned long long>(results[a].shortcuts));
       wall[a] += results[a].wall_ms;
       tried[a] += results[a].tried;
-      if (results[a].embeddings != results[0].embeddings) {
-        std::cerr << "ANSWER DIVERGENCE in " << names[which] << "/"
-                  << arms[a].tag << ": " << results[a].embeddings << " vs "
-                  << results[0].embeddings << "\n";
-        return 1;
-      }
+      json.Metric(std::string("multiway_wall_ms_") + arms[a].tag + "_" +
+                      names[which],
+                  results[a].wall_ms);
     }
-    const double speedup = Ratio(results[0].wall_ms, results[2].wall_ms);
-    std::printf("%-7s  =>    tried x%.2f   wall x%.2f (simd vs legacy)\n\n",
-                names[which],
-                Ratio(static_cast<double>(results[0].tried),
-                      static_cast<double>(results[2].tried)),
-                speedup);
+    if (!SameAnswers(results[1], results[0], names[which], arms[1].tag)) {
+      return 1;
+    }
+    const double speedup = Ratio(results[0].wall_ms, results[1].wall_ms);
+    const double tried_red = Ratio(static_cast<double>(results[0].tried),
+                                   static_cast<double>(results[1].tried));
+    std::printf("%-7s  =>    tried x%.2f   wall x%.2f\n\n", names[which],
+                tried_red, speedup);
     json.Metric(std::string("multiway_wall_speedup_") + names[which],
                 speedup);
-    json.Metric(std::string("multiway_wall_ms_legacy_") + names[which],
-                results[0].wall_ms);
-    json.Metric(std::string("multiway_wall_ms_scalar_") + names[which],
-                results[1].wall_ms);
-    json.Metric(std::string("multiway_wall_ms_simd_") + names[which],
-                results[2].wall_ms);
     json.Metric(std::string("multiway_tried_reduction_") + names[which],
-                Ratio(static_cast<double>(results[0].tried),
-                      static_cast<double>(results[2].tried)));
+                tried_red);
   }
 
   const double tried_reduction =
-      Ratio(static_cast<double>(tried[0]), static_cast<double>(tried[2]));
-  const double wall_speedup = Ratio(wall[0], wall[2]);
-  const double simd_over_scalar = Ratio(wall[1], wall[2]);
+      Ratio(static_cast<double>(tried[0]), static_cast<double>(tried[1]));
+  const double wall_speedup = Ratio(wall[0], wall[1]);
   std::cout << "aggregate: tried x" << tried_reduction << ", wall x"
-            << wall_speedup << " (simd vs legacy), simd vs scalar x"
-            << simd_over_scalar << "\n";
+            << wall_speedup << "\n";
   json.Metric("multiway_tried_reduction_all", tried_reduction);
   json.Metric("multiway_wall_speedup_all", wall_speedup);
-  json.Metric("multiway_simd_over_scalar", simd_over_scalar);
 
   Shape(tried_reduction > 1.0,
         "multiway intersection tries strictly fewer candidates than the "
@@ -277,9 +289,9 @@ int main(int argc, char** argv) {
     const Arm off = RunArm(*without, workload, cap_ms);
     RunArm(*with, workload, cap_ms);
     const Arm on = RunArm(*with, workload, cap_ms);
-    if (on.embeddings != off.embeddings) {
-      std::cerr << "ANSWER DIVERGENCE in " << names[which] << ": "
-                << on.embeddings << " vs " << off.embeddings << "\n";
+    if (!AllComplete(off, names[which], "off", cap_ms) ||
+        !AllComplete(on, names[which], "on", cap_ms) ||
+        !SameAnswers(on, off, names[which], "on")) {
       return 1;
     }
     for (const Arm* a : {&off, &on}) {

@@ -171,14 +171,6 @@ int64_t MatchSplitMinSlice() {
   return EnvIntClamped("PSI_MATCH_SPLIT_MIN_SLICE", 8, 1, kCountMax);
 }
 
-bool MatchSimdEnabled() {
-  return EnvIntClamped("PSI_MATCH_SIMD", 1, 0, 1) != 0;
-}
-
-bool MatchMultiwayEnabled() {
-  return EnvIntClamped("PSI_MATCH_MULTIWAY", 1, 0, 1) != 0;
-}
-
 // 0 = retries off (every overloaded race degrades immediately).
 int64_t RetryMax() { return EnvIntClamped("PSI_RETRY_MAX", 0, 0, 100); }
 

@@ -109,19 +109,6 @@ int64_t MatchSplit();
 /// over tiny slices.
 int64_t MatchSplitMinSlice();
 
-/// SIMD kill switch for the multiway intersection kernel (PSI_MATCH_SIMD,
-/// default 1, clamped to [0, 1]): 0 pins the scalar galloping
-/// intersection, non-zero lets runtime dispatch pick the best CPU path
-/// (AVX2, then SSE4.2, then scalar). Never changes answers or streams.
-bool MatchSimdEnabled();
-
-/// WCOJ-style multiway extension default (PSI_MATCH_MULTIWAY, default 1,
-/// clamped to [0, 1]): 0 restores the PR 5 enumerate-then-check inner
-/// loop; non-zero extends partial embeddings by intersecting all matched
-/// backward neighbours' label slices at once (match/intersect.hpp).
-/// Requires the candidate index; never changes answers or streams.
-bool MatchMultiwayEnabled();
-
 /// Bounded retry budget for transient Overloaded races in the workload
 /// runners (PSI_RETRY_MAX, default 0 = off, clamped to [0, 100]): each
 /// admission-decided rejection sleeps an exponentially growing backoff

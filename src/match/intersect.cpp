@@ -2,81 +2,17 @@
 
 #include <algorithm>
 
-#include "core/env.hpp"
-
-// The SIMD paths exist only on x86 builds that haven't opted out; every
-// other target (or -DPSI_DISABLE_SIMD=ON) compiles the scalar kernel
-// alone and reports SSE4.2/AVX2 as unsupported.
-#if !defined(PSI_DISABLE_SIMD) && (defined(__x86_64__) || defined(__i386__))
-#define PSI_INTERSECT_X86 1
-#include <immintrin.h>
-#else
-#define PSI_INTERSECT_X86 0
-#endif
-
 namespace psi {
 namespace {
 
-// Keys are unsigned; the SSE/AVX 64-bit compares are signed, so both
-// sides are bias-flipped (x ^ 2^63) to make signed order match unsigned.
-constexpr uint64_t kBias = uint64_t{1} << 63;
-
-using ScanGeFn = size_t (*)(const uint64_t*, size_t, size_t, uint64_t);
-
-/// First index in [lo, hi) with b[idx] >= x, or hi.
-size_t ScanGeScalar(const uint64_t* b, size_t lo, size_t hi, uint64_t x) {
-  while (lo < hi && b[lo] < x) ++lo;
-  return lo;
-}
-
-#if PSI_INTERSECT_X86
-__attribute__((target("sse4.2"))) size_t ScanGeSse42(const uint64_t* b,
-                                                     size_t lo, size_t hi,
-                                                     uint64_t x) {
-  const __m128i bias = _mm_set1_epi64x(static_cast<long long>(kBias));
-  const __m128i xv =
-      _mm_xor_si128(_mm_set1_epi64x(static_cast<long long>(x)), bias);
-  while (lo + 2 <= hi) {
-    const __m128i bv = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + lo)), bias);
-    // Lane mask of b[lo + k] < x; the first clear bit is the answer.
-    const int lt =
-        _mm_movemask_pd(_mm_castsi128_pd(_mm_cmpgt_epi64(xv, bv)));
-    if (lt != 0x3) return lo + static_cast<size_t>(__builtin_ctz(~lt & 0x3));
-    lo += 2;
-  }
-  return ScanGeScalar(b, lo, hi, x);
-}
-
-__attribute__((target("avx2"))) size_t ScanGeAvx2(const uint64_t* b,
-                                                  size_t lo, size_t hi,
-                                                  uint64_t x) {
-  const __m256i bias = _mm256_set1_epi64x(static_cast<long long>(kBias));
-  const __m256i xv =
-      _mm256_xor_si256(_mm256_set1_epi64x(static_cast<long long>(x)), bias);
-  while (lo + 4 <= hi) {
-    const __m256i bv = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + lo)), bias);
-    const int lt =
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(xv, bv)));
-    if (lt != 0xF) return lo + static_cast<size_t>(__builtin_ctz(~lt & 0xF));
-    lo += 4;
-  }
-  return ScanGeScalar(b, lo, hi, x);
-}
-#endif  // PSI_INTERSECT_X86
-
-/// Shared gallop skeleton: iterate the smaller array; for each key,
+/// Gallop skeleton: iterate the smaller array; for each key,
 /// exponential-probe through the larger from the current frontier, binary
-/// search the bracketed range down to `window`, then hand the tail to the
-/// level's scan. Every level computes the same j for the same inputs, so
-/// the emitted keys are bit-identical across levels. OutT = uint64_t emits
-/// the common keys; OutT = VertexId truncates each to its low-32-bit id,
-/// fusing the materialize pass into the intersection.
+/// search the bracketed range down to 8 keys, then scan them. OutT =
+/// uint64_t emits the common keys; OutT = VertexId truncates each to its
+/// low-32-bit id, fusing the materialize pass into the intersection.
 template <typename OutT>
 size_t IntersectWith(const uint64_t* a, size_t na, const uint64_t* b,
-                     size_t nb, OutT* out, ScanGeFn scan_ge,
-                     size_t window) {
+                     size_t nb, OutT* out) {
   if (na > nb) {
     std::swap(a, b);
     std::swap(na, nb);
@@ -97,7 +33,7 @@ size_t IntersectWith(const uint64_t* a, size_t na, const uint64_t* b,
         bound <<= 1;
       }
       size_t hi = std::min(j + bound + 1, nb);
-      while (hi - lo > window) {
+      while (hi - lo > 8) {
         const size_t mid = lo + (hi - lo) / 2;
         if (b[mid] < x) {
           lo = mid + 1;
@@ -105,7 +41,8 @@ size_t IntersectWith(const uint64_t* a, size_t na, const uint64_t* b,
           hi = mid;
         }
       }
-      j = scan_ge(b, lo, hi, x);
+      while (lo < hi && b[lo] < x) ++lo;
+      j = lo;
     }
     if (j < nb && b[j] == x) {
       out[n++] = static_cast<OutT>(x);
@@ -117,81 +54,18 @@ size_t IntersectWith(const uint64_t* a, size_t na, const uint64_t* b,
 
 }  // namespace
 
-const char* ToString(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kScalar: return "scalar";
-    case SimdLevel::kSse42: return "sse4.2";
-    case SimdLevel::kAvx2: return "avx2";
-  }
-  return "?";
+size_t IntersectSorted(const uint64_t* a, size_t na, const uint64_t* b,
+                       size_t nb, uint64_t* out) {
+  return IntersectWith(a, na, b, nb, out);
 }
 
-bool SimdLevelSupported(SimdLevel level) {
-  if (level == SimdLevel::kScalar) return true;
-#if PSI_INTERSECT_X86
-  if (level == SimdLevel::kSse42) return __builtin_cpu_supports("sse4.2");
-  if (level == SimdLevel::kAvx2) return __builtin_cpu_supports("avx2");
-#endif
-  return false;
-}
-
-SimdLevel ActiveSimdLevel() {
-  static const SimdLevel level = [] {
-    if (!MatchSimdEnabled()) return SimdLevel::kScalar;
-    if (SimdLevelSupported(SimdLevel::kAvx2)) return SimdLevel::kAvx2;
-    if (SimdLevelSupported(SimdLevel::kSse42)) return SimdLevel::kSse42;
-    return SimdLevel::kScalar;
-  }();
-  return level;
-}
-
-bool ResolveMultiwayEnabled(int requested) {
-  return requested < 0 ? MatchMultiwayEnabled() : requested != 0;
-}
-
-SimdLevel ResolveSimdLevel(int requested) {
-  return requested == 0 ? SimdLevel::kScalar : ActiveSimdLevel();
-}
-
-size_t IntersectSortedScalar(const uint64_t* a, size_t na, const uint64_t* b,
-                             size_t nb, uint64_t* out) {
-  return IntersectWith(a, na, b, nb, out, &ScanGeScalar, /*window=*/8);
-}
-
-size_t IntersectSortedAtLevel(SimdLevel level, const uint64_t* a, size_t na,
-                              const uint64_t* b, size_t nb, uint64_t* out) {
-#if PSI_INTERSECT_X86
-  if (level == SimdLevel::kAvx2 && SimdLevelSupported(level)) {
-    return IntersectWith(a, na, b, nb, out, &ScanGeAvx2, /*window=*/32);
-  }
-  if (level == SimdLevel::kSse42 && SimdLevelSupported(level)) {
-    return IntersectWith(a, na, b, nb, out, &ScanGeSse42, /*window=*/16);
-  }
-#else
-  (void)level;
-#endif
-  return IntersectSortedScalar(a, na, b, nb, out);
-}
-
-size_t IntersectSortedIdsAtLevel(SimdLevel level, const uint64_t* a,
-                                 size_t na, const uint64_t* b, size_t nb,
-                                 VertexId* out) {
-#if PSI_INTERSECT_X86
-  if (level == SimdLevel::kAvx2 && SimdLevelSupported(level)) {
-    return IntersectWith(a, na, b, nb, out, &ScanGeAvx2, /*window=*/32);
-  }
-  if (level == SimdLevel::kSse42 && SimdLevelSupported(level)) {
-    return IntersectWith(a, na, b, nb, out, &ScanGeSse42, /*window=*/16);
-  }
-#else
-  (void)level;
-#endif
-  return IntersectWith(a, na, b, nb, out, &ScanGeScalar, /*window=*/8);
+size_t IntersectSortedIds(const uint64_t* a, size_t na, const uint64_t* b,
+                          size_t nb, VertexId* out) {
+  return IntersectWith(a, na, b, nb, out);
 }
 
 std::span<const VertexId> ExtendCandidates(const CandidateIndex& index,
                                            const Graph& g, LabelId ul,
-                                           SimdLevel level,
                                            MultiwayScratch& scr,
                                            MatchStats& stats) {
   const bool labelled = g.has_edge_labels();
@@ -230,12 +104,11 @@ std::span<const VertexId> ExtendCandidates(const CandidateIndex& index,
                            scr.inputs[0].image < scr.inputs[1].image);
       stats.slice_candidates += (pivot0 ? s0 : s1).size();
       ++stats.multiway_intersections;
-      if (level != SimdLevel::kScalar) ++stats.simd_galloped;
       const size_t cap = std::min(s0.size(), s1.size());
       if (scr.out.size() < cap) scr.out.resize(cap);
-      const size_t n = IntersectSortedIdsAtLevel(
-          level, s0.keys.data(), s0.keys.size(), s1.keys.data(),
-          s1.keys.size(), scr.out.data());
+      const size_t n =
+          IntersectSortedIds(s0.keys.data(), s0.keys.size(), s1.keys.data(),
+                             s1.keys.size(), scr.out.data());
       if (n == 0) {
         ++stats.intersection_shortcuts;
         return {};
@@ -315,10 +188,8 @@ std::span<const VertexId> ExtendCandidates(const CandidateIndex& index,
     auto& dst = scr.key_buf[buf];
     const size_t need = std::min(cur.size(), keys.size());
     if (dst.size() < need) dst.resize(need);
-    if (level != SimdLevel::kScalar) ++stats.simd_galloped;
-    const size_t n = IntersectSortedAtLevel(level, cur.data(), cur.size(),
-                                            keys.data(), keys.size(),
-                                            dst.data());
+    const size_t n = IntersectSorted(cur.data(), cur.size(), keys.data(),
+                                     keys.size(), dst.data());
     cur = std::span<const uint64_t>(dst.data(), n);
     buf ^= 1;
     if (cur.empty()) {

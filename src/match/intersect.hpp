@@ -1,4 +1,4 @@
-// Vectorized multiway intersection: the WCOJ-style extension kernel.
+// Multiway intersection: the WCOJ-style extension kernel.
 //
 // PR 5's CandidateIndex enumerates the anchor's label slice and checks the
 // remaining backward edges one candidate at a time. Mhedhbi & Salihoglu
@@ -6,9 +6,8 @@
 // Joins", PAPERS.md) show the worst-case-optimal alternative: extend a
 // partial embedding by intersecting the label slices of *all* matched
 // backward neighbours at once. ExtendCandidates() is that kernel, built on
-// a galloping sorted-set intersection over the slices' packed
-// (degree << 32 | id) keys, with SSE4.2/AVX2 window scans dispatched at
-// runtime.
+// a scalar galloping sorted-set intersection over the slices' packed
+// (degree << 32 | id) keys.
 //
 // Invariants (docs/ARCHITECTURE.md "Multiway extension"; enforced by
 // tests/intersect_test.cpp and tests/multiway_test.cpp):
@@ -18,15 +17,15 @@
 //  * Order preservation: every slice is (degree, id)-sorted, i.e. sorted
 //    by its packed keys, and a sorted-set intersection emits in key order;
 //    the embedding stream stays byte-identical to the legacy path.
-//  * SIMD/scalar parity: every SIMD level returns exactly the scalar
-//    result (std::set_intersection is the oracle). PSI_MATCH_SIMD=0 and
-//    -DPSI_DISABLE_SIMD=ON force the scalar path; neither changes output.
 //
 // Hub fallback: backward neighbours that carry a dense adjacency bitset
 // (degree >= PSI_MATCH_BITSET_DEGREE) are cheaper to test per survivor in
 // O(1) than to gallop through, so they are checked via
 // CandidateIndex::EdgeCheck after the slice intersection instead of
-// joining it.
+// joining it. So every galloped input is a non-hub slice, shorter than
+// the bitset degree however dense the graph (unless the bitset memory
+// budget ran out), which is why the gallop is scalar: vector window scans
+// did not pay at that length.
 
 #ifndef PSI_MATCH_INTERSECT_HPP_
 #define PSI_MATCH_INTERSECT_HPP_
@@ -45,50 +44,26 @@ namespace psi {
 // ---- Sorted-set intersection primitives (64-bit keys, duplicate-free,
 // strictly ascending inputs) ----
 
-enum class SimdLevel : uint8_t { kScalar = 0, kSse42 = 1, kAvx2 = 2 };
+/// The kernel has one (scalar) level; psibench's machine fingerprint
+/// prints ToString(ActiveSimdLevel()).
+enum class SimdLevel : uint8_t { kScalar = 0 };
+inline const char* ToString(SimdLevel) { return "scalar"; }
+inline SimdLevel ActiveSimdLevel() { return SimdLevel::kScalar; }
 
-const char* ToString(SimdLevel level);
-
-/// True when this build + CPU can execute `level` (compile gate
-/// PSI_DISABLE_SIMD and non-x86 targets force scalar-only). Ignores the
-/// PSI_MATCH_SIMD kill switch — this is pure capability.
-bool SimdLevelSupported(SimdLevel level);
-
-/// The level ExtendCandidates runs at by default: the best supported one,
-/// unless PSI_MATCH_SIMD=0 pins scalar. Resolved once per process.
-SimdLevel ActiveSimdLevel();
-
-/// Resolves MatchOptions::multiway: -1 = environment (PSI_MATCH_MULTIWAY),
-/// 0 = off, anything else = on.
-bool ResolveMultiwayEnabled(int requested);
-
-/// Resolves MatchOptions::simd: 0 = scalar, anything else (including the
-/// default -1) = ActiveSimdLevel(), which itself honours PSI_MATCH_SIMD
-/// and the CPU. Every level produces identical output.
-SimdLevel ResolveSimdLevel(int requested);
-
-/// Scalar galloping intersection of two strictly ascending key arrays.
-/// Writes the common keys, ascending, to `out` (capacity min(na, nb)) and
-/// returns how many. Iterates the smaller array and gallops (exponential
-/// probe + binary search) through the larger, so skewed size ratios cost
-/// O(small * log(large)).
-size_t IntersectSortedScalar(const uint64_t* a, size_t na, const uint64_t* b,
-                             size_t nb, uint64_t* out);
-
-/// Same contract, executed at `level`: the gallop's final window is
-/// scanned with 4-wide (AVX2) or 2-wide (SSE4.2) vector compares. `level`
-/// must be supported (SimdLevelSupported); kScalar falls through to
-/// IntersectSortedScalar. Output is bit-identical across levels.
-size_t IntersectSortedAtLevel(SimdLevel level, const uint64_t* a, size_t na,
-                              const uint64_t* b, size_t nb, uint64_t* out);
+/// Galloping intersection of two strictly ascending key arrays. Writes the
+/// common keys, ascending, to `out` (capacity min(na, nb)) and returns how
+/// many. Iterates the smaller array and gallops (exponential probe, then
+/// binary search down to a short linear scan) through the larger, so
+/// skewed size ratios cost O(small * log(large)).
+size_t IntersectSorted(const uint64_t* a, size_t na, const uint64_t* b,
+                       size_t nb, uint64_t* out);
 
 /// Fused variant for packed (degree << 32 | id) keys: same intersection,
 /// but emits the low-32-bit ids instead of the keys, saving the separate
 /// materialize pass when only two slices meet. `out` needs capacity
 /// min(na, nb); ids come out in key order.
-size_t IntersectSortedIdsAtLevel(SimdLevel level, const uint64_t* a,
-                                 size_t na, const uint64_t* b, size_t nb,
-                                 VertexId* out);
+size_t IntersectSortedIds(const uint64_t* a, size_t na, const uint64_t* b,
+                          size_t nb, VertexId* out);
 
 // ---- WCOJ extension ----
 
@@ -121,7 +96,6 @@ struct MultiwayScratch {
 /// the next call on the same scratch.
 std::span<const VertexId> ExtendCandidates(const CandidateIndex& index,
                                            const Graph& g, LabelId ul,
-                                           SimdLevel level,
                                            MultiwayScratch& scratch,
                                            MatchStats& stats);
 

@@ -20,7 +20,6 @@ void MatchKernelStats::AddTo(PoolGauges* g) const {
       slice_candidates_.load(std::memory_order_relaxed);
   g->kernel_multiway_intersections +=
       multiway_intersections_.load(std::memory_order_relaxed);
-  g->kernel_simd_galloped += simd_galloped_.load(std::memory_order_relaxed);
   g->kernel_intersection_shortcuts +=
       intersection_shortcuts_.load(std::memory_order_relaxed);
   g->kernel_split_matches += split_matches_.load(std::memory_order_relaxed);

@@ -81,14 +81,9 @@ struct MatchOptions {
   // intersection, emitted in the same (degree, id) slice order); only the
   // effort counters move.
 
-  /// Tri-state: -1 = environment default (PSI_MATCH_MULTIWAY, on), 0 =
-  /// off (the enumerate-then-check inner loop), anything else = on.
-  int multiway = -1;
-  /// Tri-state SIMD switch for the intersection kernel: 0 = scalar,
-  /// anything else (including the default -1) = best available path per
-  /// PSI_MATCH_SIMD and runtime CPU dispatch. Scalar and SIMD paths
-  /// produce identical output.
-  int simd = -1;
+  /// false = the enumerate-then-check inner loop, kept as the reference
+  /// the differential tests and the kernel bench compare against.
+  bool multiway = true;
 
   bool split_task() const { return num_root_ranges > 1; }
   /// True for the range that owns the shared (pre-enumeration) counters.
@@ -124,8 +119,6 @@ struct MatchStats {
                                     ///< (sum of enumerated slice sizes)
   uint64_t multiway_intersections = 0;  ///< WCOJ extensions performed
                                         ///< (match/intersect.hpp)
-  uint64_t simd_galloped = 0;       ///< pairwise intersections that ran on
-                                    ///< a SIMD path (SSE4.2/AVX2)
   uint64_t intersection_shortcuts = 0;  ///< extensions refuted before or
                                         ///< during intersection (an empty
                                         ///< input or empty partial result)
@@ -137,7 +130,6 @@ struct MatchStats {
     bitset_edge_checks += o.bitset_edge_checks;
     slice_candidates += o.slice_candidates;
     multiway_intersections += o.multiway_intersections;
-    simd_galloped += o.simd_galloped;
     intersection_shortcuts += o.intersection_shortcuts;
   }
 };
@@ -162,7 +154,6 @@ class MatchKernelStats {
                                 std::memory_order_relaxed);
     multiway_intersections_.fetch_add(s.multiway_intersections,
                                       std::memory_order_relaxed);
-    simd_galloped_.fetch_add(s.simd_galloped, std::memory_order_relaxed);
     intersection_shortcuts_.fetch_add(s.intersection_shortcuts,
                                       std::memory_order_relaxed);
   }
@@ -195,7 +186,6 @@ class MatchKernelStats {
   std::atomic<uint64_t> bitset_checks_{0};
   std::atomic<uint64_t> slice_candidates_{0};
   std::atomic<uint64_t> multiway_intersections_{0};
-  std::atomic<uint64_t> simd_galloped_{0};
   std::atomic<uint64_t> intersection_shortcuts_{0};
   std::atomic<uint64_t> split_matches_{0};
   std::atomic<uint64_t> split_tasks_{0};

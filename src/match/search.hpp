@@ -102,9 +102,8 @@ class BacktrackSearch {
         used_(g.num_vertices(), 0) {
     if (index_ != nullptr) {
       qnlf_ = CandidateIndex::QueryNlf(q);
-      if (ResolveMultiwayEnabled(opts.multiway)) {
+      if (opts.multiway) {
         multiway_ = true;
-        simd_ = ResolveSimdLevel(opts.simd);
         mw_.resize(q.num_vertices());
       }
     }
@@ -195,8 +194,7 @@ class BacktrackSearch {
       scr.inputs.clear();
       self().MultiwayInputs(depth, u, scr.inputs);
       if (scr.inputs.size() >= 2) {
-        candidates =
-            ExtendCandidates(*index_, g_, q_.label(u), simd_, scr, stats_);
+        candidates = ExtendCandidates(*index_, g_, q_.label(u), scr, stats_);
         mw = true;
       }
     }
@@ -220,7 +218,6 @@ class BacktrackSearch {
 
   uint64_t found_ = 0;
   bool multiway_ = false;            // only with the index
-  SimdLevel simd_ = SimdLevel::kScalar;
   std::vector<MultiwayScratch> mw_;  // one per depth
 };
 

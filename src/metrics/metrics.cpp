@@ -210,7 +210,6 @@ std::string FormatKernelGauges(const PoolGauges& g) {
   if (g.kernel_multiway_intersections > 0 ||
       g.kernel_intersection_shortcuts > 0) {
     out += " multiway=" + std::to_string(g.kernel_multiway_intersections);
-    out += " simd_gallops=" + std::to_string(g.kernel_simd_galloped);
     out += " shortcuts=" + std::to_string(g.kernel_intersection_shortcuts);
   }
   if (g.kernel_split_matches > 0) {

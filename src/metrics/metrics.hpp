@@ -142,8 +142,9 @@ struct PoolGauges {
                                          ///< slices (sum of slice sizes)
   // Multiway (WCOJ) extension gauges (match/intersect.hpp).
   uint64_t kernel_multiway_intersections = 0;  ///< WCOJ extensions performed
-  uint64_t kernel_simd_galloped = 0;  ///< pairwise intersections on a SIMD
-                                      ///< path (SSE4.2/AVX2)
+  /// Always 0: the intersection kernel is scalar only. The field stays
+  /// because psibench reads it (`match.simd_frac`).
+  uint64_t kernel_simd_galloped = 0;
   uint64_t kernel_intersection_shortcuts = 0;  ///< extensions refuted early
                                                ///< (empty input or partial)
   // Intra-query split-enumeration gauges (match/parallel.hpp).

@@ -145,26 +145,6 @@ TEST(EnvClampTest, WarnsOncePerVariableValuePair) {
   unsetenv("PSI_TEST_WARN_ONCE");
 }
 
-TEST(EnvClampTest, MultiwayAndSimdKnobs) {
-  unsetenv("PSI_MATCH_SIMD");
-  unsetenv("PSI_MATCH_MULTIWAY");
-  EXPECT_TRUE(MatchSimdEnabled());      // both default on
-  EXPECT_TRUE(MatchMultiwayEnabled());
-  setenv("PSI_MATCH_SIMD", "0", 1);
-  EXPECT_FALSE(MatchSimdEnabled());
-  setenv("PSI_MATCH_MULTIWAY", "0", 1);
-  EXPECT_FALSE(MatchMultiwayEnabled());
-  // Out of [0, 1] clamps to the nearest bound (with the one-time warning).
-  testing::internal::CaptureStderr();
-  setenv("PSI_MATCH_SIMD", "7", 1);
-  EXPECT_TRUE(MatchSimdEnabled());
-  setenv("PSI_MATCH_MULTIWAY", "-3", 1);
-  EXPECT_FALSE(MatchMultiwayEnabled());
-  (void)testing::internal::GetCapturedStderr();
-  unsetenv("PSI_MATCH_SIMD");
-  unsetenv("PSI_MATCH_MULTIWAY");
-}
-
 TEST(EnvClampTest, IndexAndStagedBooleansWarnOnNonsense) {
   unsetenv("PSI_MATCH_INDEX");
   unsetenv("PSI_PLAN_STAGED");

@@ -1,16 +1,13 @@
-// Fuzz + edge-case tests of the sorted-set intersection kernels
+// Fuzz + edge-case tests of the sorted-set intersection kernel
 // (match/intersect.hpp):
 //
 //  * Randomized differential: strictly ascending duplicate-free uint64
-//    sets of sizes 0..10k, scalar gallop and every supported SIMD level
-//    vs. the std::set_intersection oracle — byte-identical output at
-//    every level (the SIMD/scalar parity invariant).
+//    sets of sizes 0..10k, IntersectSorted and IntersectSortedIds in both
+//    argument orders vs. the std::set_intersection oracle.
 //  * Deterministic edge cases: empty, singleton, fully disjoint,
 //    identical, strict subset, and heavily skewed size ratios, plus keys
-//    straddling the signed-compare bias boundary (1 << 63) that the
-//    vector scans flip around.
-//  * MatchOptions resolution: simd = 0 pins kScalar; multiway tri-state
-//    follows the documented -1/0/1 meaning.
+//    with the top bit set (1 << 63 and UINT64_MAX), which must order as
+//    unsigned.
 
 #include <gtest/gtest.h>
 
@@ -24,13 +21,6 @@
 namespace psi {
 namespace {
 
-std::vector<SimdLevel> SupportedLevels() {
-  std::vector<SimdLevel> out = {SimdLevel::kScalar};
-  if (SimdLevelSupported(SimdLevel::kSse42)) out.push_back(SimdLevel::kSse42);
-  if (SimdLevelSupported(SimdLevel::kAvx2)) out.push_back(SimdLevel::kAvx2);
-  return out;
-}
-
 std::vector<uint64_t> Oracle(const std::vector<uint64_t>& a,
                              const std::vector<uint64_t>& b) {
   std::vector<uint64_t> want;
@@ -39,40 +29,30 @@ std::vector<uint64_t> Oracle(const std::vector<uint64_t>& a,
   return want;
 }
 
-// Every kernel (scalar gallop + each supported SIMD level) must reproduce
-// the oracle exactly, in both argument orders (the kernels swap internally
-// to iterate the smaller side).
-void ExpectAllLevelsMatchOracle(const std::vector<uint64_t>& a,
-                                const std::vector<uint64_t>& b) {
+// Both kernels must reproduce the oracle exactly, in both argument orders
+// (they swap internally to iterate the smaller side).
+void ExpectMatchesOracle(const std::vector<uint64_t>& a,
+                         const std::vector<uint64_t>& b) {
   const std::vector<uint64_t> want = Oracle(a, b);
-  std::vector<uint64_t> out(std::min(a.size(), b.size()) + 1, ~0ull);
-  const size_t n = IntersectSortedScalar(a.data(), a.size(), b.data(),
-                                         b.size(), out.data());
-  ASSERT_EQ(n, want.size());
-  for (size_t i = 0; i < n; ++i) ASSERT_EQ(out[i], want[i]) << "i=" << i;
-  for (SimdLevel level : SupportedLevels()) {
-    for (int swap = 0; swap < 2; ++swap) {
-      const auto& x = swap ? b : a;
-      const auto& y = swap ? a : b;
-      std::fill(out.begin(), out.end(), ~0ull);
-      const size_t m = IntersectSortedAtLevel(level, x.data(), x.size(),
-                                              y.data(), y.size(), out.data());
-      ASSERT_EQ(m, want.size()) << ToString(level) << " swap=" << swap;
-      for (size_t i = 0; i < m; ++i) {
-        ASSERT_EQ(out[i], want[i])
-            << ToString(level) << " swap=" << swap << " i=" << i;
-      }
-      // The fused id-emitting variant must agree element-wise: each output
-      // is the matching key's low 32 bits, in the same order.
-      std::vector<VertexId> ids(out.size(), ~VertexId{0});
-      const size_t k = IntersectSortedIdsAtLevel(level, x.data(), x.size(),
-                                                 y.data(), y.size(),
-                                                 ids.data());
-      ASSERT_EQ(k, want.size()) << ToString(level) << " swap=" << swap;
-      for (size_t i = 0; i < k; ++i) {
-        ASSERT_EQ(ids[i], static_cast<VertexId>(want[i] & 0xffffffffu))
-            << ToString(level) << " swap=" << swap << " i=" << i;
-      }
+  for (int swap = 0; swap < 2; ++swap) {
+    const auto& x = swap ? b : a;
+    const auto& y = swap ? a : b;
+    std::vector<uint64_t> out(std::min(a.size(), b.size()) + 1, ~0ull);
+    const size_t m =
+        IntersectSorted(x.data(), x.size(), y.data(), y.size(), out.data());
+    ASSERT_EQ(m, want.size()) << "swap=" << swap;
+    for (size_t i = 0; i < m; ++i) {
+      ASSERT_EQ(out[i], want[i]) << "swap=" << swap << " i=" << i;
+    }
+    // The fused id-emitting variant must agree element-wise: each output
+    // is the matching key's low 32 bits, in the same order.
+    std::vector<VertexId> ids(out.size(), ~VertexId{0});
+    const size_t k = IntersectSortedIds(x.data(), x.size(), y.data(),
+                                        y.size(), ids.data());
+    ASSERT_EQ(k, want.size()) << "swap=" << swap;
+    for (size_t i = 0; i < k; ++i) {
+      ASSERT_EQ(ids[i], static_cast<VertexId>(want[i] & 0xffffffffu))
+          << "swap=" << swap << " i=" << i;
     }
   }
 }
@@ -93,13 +73,13 @@ std::vector<uint64_t> RandomSortedSet(std::mt19937_64& rng, size_t size,
 // ---- Edge cases ----
 
 TEST(IntersectTest, EmptyAndSingleton) {
-  ExpectAllLevelsMatchOracle({}, {});
-  ExpectAllLevelsMatchOracle({}, {1, 2, 3});
-  ExpectAllLevelsMatchOracle({5}, {});
-  ExpectAllLevelsMatchOracle({5}, {5});
-  ExpectAllLevelsMatchOracle({5}, {4});
-  ExpectAllLevelsMatchOracle({5}, {1, 2, 3, 4, 5, 6});
-  ExpectAllLevelsMatchOracle({7}, {1, 2, 3, 4, 5, 6});
+  ExpectMatchesOracle({}, {});
+  ExpectMatchesOracle({}, {1, 2, 3});
+  ExpectMatchesOracle({5}, {});
+  ExpectMatchesOracle({5}, {5});
+  ExpectMatchesOracle({5}, {4});
+  ExpectMatchesOracle({5}, {1, 2, 3, 4, 5, 6});
+  ExpectMatchesOracle({7}, {1, 2, 3, 4, 5, 6});
 }
 
 TEST(IntersectTest, DisjointIdenticalAndSubset) {
@@ -109,23 +89,22 @@ TEST(IntersectTest, DisjointIdenticalAndSubset) {
     odds.push_back(2 * i + 1);
     all.push_back(i);
   }
-  ExpectAllLevelsMatchOracle(evens, odds);   // disjoint interleaved
-  ExpectAllLevelsMatchOracle(evens, evens);  // identical
-  ExpectAllLevelsMatchOracle(evens, all);    // half-subset
+  ExpectMatchesOracle(evens, odds);   // disjoint interleaved
+  ExpectMatchesOracle(evens, evens);  // identical
+  ExpectMatchesOracle(evens, all);    // half-subset
   std::vector<uint64_t> low(all.begin(), all.begin() + 500);
-  ExpectAllLevelsMatchOracle(low, all);      // strict prefix subset
+  ExpectMatchesOracle(low, all);      // strict prefix subset
 }
 
-// The vector scans compare as signed after flipping with 1 << 63; keys at
-// and around the bias boundary (and UINT64_MAX) must still order right.
+// Keys at and around 1 << 63, and UINT64_MAX, must order as unsigned.
 TEST(IntersectTest, BiasBoundaryKeys) {
   const uint64_t hi = 1ull << 63;
   const std::vector<uint64_t> a = {0,      1,       hi - 2, hi - 1,
                                    hi,     hi + 1,  ~1ull,  ~0ull};
   const std::vector<uint64_t> b = {1,      2,       hi - 1, hi,
                                    hi + 2, ~2ull,   ~0ull};
-  ExpectAllLevelsMatchOracle(a, b);
-  ExpectAllLevelsMatchOracle(a, a);
+  ExpectMatchesOracle(a, b);
+  ExpectMatchesOracle(a, a);
 }
 
 TEST(IntersectTest, SkewedSizeRatios) {
@@ -138,7 +117,7 @@ TEST(IntersectTest, SkewedSizeRatios) {
       for (size_t i = 0; i < a.size() && i < b.size(); i += 2) a[i] = b[i * 7 % b.size()];
       std::sort(a.begin(), a.end());
       a.erase(std::unique(a.begin(), a.end()), a.end());
-      ExpectAllLevelsMatchOracle(a, b);
+      ExpectMatchesOracle(a, b);
     }
   }
 }
@@ -156,9 +135,9 @@ TEST(IntersectTest, FuzzAgainstSetIntersection) {
         std::max<uint64_t>(1, (na + nb + 1) << (round % 4));
     const auto a = RandomSortedSet(rng, na, universe);
     const auto b = RandomSortedSet(rng, nb, universe);
-    ExpectAllLevelsMatchOracle(a, b);
+    ExpectMatchesOracle(a, b);
   }
-  // Full-width random keys: exercises the bias flip on arbitrary values.
+  // Full-width random keys, about half with the top bit set.
   for (int round = 0; round < 20; ++round) {
     std::vector<uint64_t> a, b;
     for (int i = 0; i < 300; ++i) {
@@ -171,31 +150,8 @@ TEST(IntersectTest, FuzzAgainstSetIntersection) {
     a.erase(std::unique(a.begin(), a.end()), a.end());
     std::sort(b.begin(), b.end());
     b.erase(std::unique(b.begin(), b.end()), b.end());
-    ExpectAllLevelsMatchOracle(a, b);
+    ExpectMatchesOracle(a, b);
   }
-}
-
-// ---- MatchOptions resolution ----
-
-TEST(IntersectTest, ResolveSimdLevel) {
-  EXPECT_EQ(ResolveSimdLevel(0), SimdLevel::kScalar);
-  // Default and any non-zero request resolve to the process-wide active
-  // level, which is always a supported one.
-  EXPECT_EQ(ResolveSimdLevel(-1), ActiveSimdLevel());
-  EXPECT_EQ(ResolveSimdLevel(1), ActiveSimdLevel());
-  EXPECT_TRUE(SimdLevelSupported(ActiveSimdLevel()));
-#ifdef PSI_DISABLE_SIMD
-  EXPECT_EQ(ActiveSimdLevel(), SimdLevel::kScalar);
-  EXPECT_FALSE(SimdLevelSupported(SimdLevel::kSse42));
-  EXPECT_FALSE(SimdLevelSupported(SimdLevel::kAvx2));
-#endif
-}
-
-TEST(IntersectTest, ResolveMultiwayEnabled) {
-  EXPECT_FALSE(ResolveMultiwayEnabled(0));
-  EXPECT_TRUE(ResolveMultiwayEnabled(1));
-  // -1 defers to PSI_MATCH_MULTIWAY, default on (core/env.cpp caches the
-  // first read, so only the unset-default is asserted here).
 }
 
 }  // namespace

@@ -1,22 +1,23 @@
-// Differential tests of the multiway (WCOJ) extension kernel
-// (match/intersect.hpp + MatchOptions::{multiway, simd}):
+// Differential and closed-form tests of the multiway (WCOJ) extension
+// kernel (match/intersect.hpp + MatchOptions::multiway):
 //
 //  * 100-seed differential harness (PSI_TEST_SEEDS): for every matcher
 //    (VF2, QuickSI, GraphQL, sPath) under the candidate index, the
 //    embedding *stream* must be byte-identical with multiway off (the
-//    PR 5 enumerate-then-check path), multiway on at the scalar level,
-//    and multiway on at the active SIMD level — serially and under the
-//    root split. SIMD vs. scalar must also agree on every effort counter
-//    except simd_galloped.
+//    enumerate-then-check path) and on — serially and under the root
+//    split.
 //  * Counter exactness: serial vs. split with multiway on report exactly
-//    equal MatchStats, the new multiway counters included.
+//    equal MatchStats, the multiway counters included.
 //  * Degraded pools: a capacity-0 reject-all pool and a shedding pool
 //    (every range re-runs inline / displaced) stay byte-identical and
 //    counter-exact with multiway on.
 //  * Without an index the multiway request is ignored (the kernel needs
 //    label slices); streams match the legacy path bit for bit.
-//  * The new counters surface through MatchKernelStats -> PoolGauges and
+//  * The counters surface through MatchKernelStats -> PoolGauges and
 //    FormatKernelGauges.
+//  * Closed-form oracle: motif counts in complete graphs, a wheel and a
+//    grid, known without running any matcher, for every matcher with the
+//    index off, and on with multiway off and on.
 
 #include <gtest/gtest.h>
 
@@ -35,6 +36,7 @@
 #include "metrics/metrics.hpp"
 #include "quicksi/quicksi.hpp"
 #include "spath/spath.hpp"
+#include "tests/test_util.hpp"
 #include "vf2/vf2.hpp"
 
 namespace psi {
@@ -72,13 +74,11 @@ struct Capture {
   MatchResult result;
 };
 
-// multiway/simd ride the MatchOptions tri-states: -1 env default, 0 off.
-Capture Serial(const Matcher& m, const Graph& q, int multiway, int simd) {
+Capture Serial(const Matcher& m, const Graph& q, bool multiway) {
   Capture r;
   MatchOptions mo;
   mo.max_embeddings = 1u << 30;
   mo.multiway = multiway;
-  mo.simd = simd;
   mo.sink = [&](const Embedding& e) {
     r.stream.push_back(e);
     return true;
@@ -87,13 +87,12 @@ Capture Serial(const Matcher& m, const Graph& q, int multiway, int simd) {
   return r;
 }
 
-Capture Split(const Matcher& m, const Graph& q, int multiway, int simd,
-              size_t width, Executor* exec) {
+Capture Split(const Matcher& m, const Graph& q, bool multiway, size_t width,
+              Executor* exec) {
   Capture r;
   MatchOptions mo;
   mo.max_embeddings = 1u << 30;
   mo.multiway = multiway;
-  mo.simd = simd;
   mo.sink = [&](const Embedding& e) {
     r.stream.push_back(e);
     return true;
@@ -123,27 +122,10 @@ void ExpectSameStats(const MatchStats& a, const MatchStats& b,
   EXPECT_EQ(a.bitset_edge_checks, b.bitset_edge_checks) << tag;
   EXPECT_EQ(a.slice_candidates, b.slice_candidates) << tag;
   EXPECT_EQ(a.multiway_intersections, b.multiway_intersections) << tag;
-  EXPECT_EQ(a.simd_galloped, b.simd_galloped) << tag;
   EXPECT_EQ(a.intersection_shortcuts, b.intersection_shortcuts) << tag;
 }
 
-// SIMD vs. scalar: same work, different instructions — every counter
-// equal except simd_galloped (0 at the scalar level by definition).
-void ExpectSameStatsModuloSimd(const MatchStats& simd,
-                               const MatchStats& scalar, const char* tag) {
-  EXPECT_EQ(simd.recursion_nodes, scalar.recursion_nodes) << tag;
-  EXPECT_EQ(simd.candidates_tried, scalar.candidates_tried) << tag;
-  EXPECT_EQ(simd.nlf_rejects, scalar.nlf_rejects) << tag;
-  EXPECT_EQ(simd.bitset_edge_checks, scalar.bitset_edge_checks) << tag;
-  EXPECT_EQ(simd.slice_candidates, scalar.slice_candidates) << tag;
-  EXPECT_EQ(simd.multiway_intersections, scalar.multiway_intersections)
-      << tag;
-  EXPECT_EQ(simd.intersection_shortcuts, scalar.intersection_shortcuts)
-      << tag;
-  EXPECT_EQ(scalar.simd_galloped, 0u) << tag;
-}
-
-// ---- Differential: multiway on/off x SIMD on/off, serial + split ----
+// ---- Differential: multiway on/off, serial + split ----
 
 TEST(MultiwayDifferentialTest, StreamsIdenticalAcrossModesAndMatchers) {
   Executor pool(/*num_threads=*/4);
@@ -158,24 +140,20 @@ TEST(MultiwayDifferentialTest, StreamsIdenticalAcrossModesAndMatchers) {
     m->set_candidate_index(CandidateIndex::Build(g));
     ASSERT_TRUE(m->Prepare(g).ok());
     for (const auto& q : queries) {
-      const Capture legacy = Serial(*m, q.graph, /*multiway=*/0, 0);
-      const Capture scalar = Serial(*m, q.graph, /*multiway=*/1, /*simd=*/0);
-      const Capture simd = Serial(*m, q.graph, /*multiway=*/1, /*simd=*/-1);
-      ExpectSameStream(scalar, legacy, m->name().data());
-      ExpectSameStream(simd, legacy, m->name().data());
-      ExpectSameStatsModuloSimd(simd.result.stats, scalar.result.stats,
-                                m->name().data());
-      total_intersections += simd.result.stats.multiway_intersections;
+      const Capture legacy = Serial(*m, q.graph, /*multiway=*/false);
+      const Capture on = Serial(*m, q.graph, /*multiway=*/true);
+      ExpectSameStream(on, legacy, m->name().data());
+      total_intersections += on.result.stats.multiway_intersections;
       // Root split, multiway on: still the legacy stream, and exactly the
       // serial multiway counters.
-      const Capture split = Split(*m, q.graph, /*multiway=*/1, /*simd=*/-1,
-                                  width, &pool);
+      const Capture split = Split(*m, q.graph, /*multiway=*/true, width,
+                                  &pool);
       ExpectSameStream(split, legacy, m->name().data());
-      ExpectSameStats(split.result.stats, simd.result.stats,
+      ExpectSameStats(split.result.stats, on.result.stats,
                       m->name().data());
       // And multiway off under the same split: still the legacy stream.
-      const Capture split_off = Split(*m, q.graph, /*multiway=*/0, 0, width,
-                                      &pool);
+      const Capture split_off = Split(*m, q.graph, /*multiway=*/false,
+                                      width, &pool);
       ExpectSameStream(split_off, legacy, m->name().data());
     }
   }
@@ -199,8 +177,8 @@ TEST(MultiwayTest, CapacityZeroRejectPoolStaysExact) {
   m.set_candidate_index(CandidateIndex::Build(g));
   ASSERT_TRUE(m.Prepare(g).ok());
   for (const auto& q : queries) {
-    const Capture serial = Serial(m, q.graph, /*multiway=*/1, /*simd=*/-1);
-    const Capture on = Split(m, q.graph, 1, -1, 4, &pool);
+    const Capture serial = Serial(m, q.graph, /*multiway=*/true);
+    const Capture on = Split(m, q.graph, /*multiway=*/true, 4, &pool);
     ExpectSameStream(on, serial, "capacity0+multiway");
     ExpectSameStats(on.result.stats, serial.result.stats,
                     "capacity0+multiway");
@@ -220,8 +198,8 @@ TEST(MultiwayTest, SheddingPoolStaysExact) {
   m.set_candidate_index(CandidateIndex::Build(g));
   ASSERT_TRUE(m.Prepare(g).ok());
   for (const auto& q : queries) {
-    const Capture serial = Serial(m, q.graph, /*multiway=*/1, /*simd=*/-1);
-    const Capture on = Split(m, q.graph, 1, -1, 8, &pool);
+    const Capture serial = Serial(m, q.graph, /*multiway=*/true);
+    const Capture on = Split(m, q.graph, /*multiway=*/true, 8, &pool);
     ExpectSameStream(on, serial, "shed+multiway");
     ExpectSameStats(on.result.stats, serial.result.stats, "shed+multiway");
   }
@@ -238,8 +216,8 @@ TEST(MultiwayTest, WithoutIndexMultiwayIsIgnored) {
     m->set_candidate_index(nullptr);
     ASSERT_TRUE(m->Prepare(g).ok());
     for (const auto& q : queries) {
-      const Capture off = Serial(*m, q.graph, /*multiway=*/0, 0);
-      const Capture on = Serial(*m, q.graph, /*multiway=*/1, /*simd=*/-1);
+      const Capture off = Serial(*m, q.graph, /*multiway=*/false);
+      const Capture on = Serial(*m, q.graph, /*multiway=*/true);
       ExpectSameStream(on, off, m->name().data());
       EXPECT_EQ(on.result.stats.multiway_intersections, 0u);
       ExpectSameStats(on.result.stats, off.result.stats, m->name().data());
@@ -284,7 +262,7 @@ TEST(MultiwayTest, CountersSurfaceThroughPoolGauges) {
     ASSERT_TRUE(m->Prepare(g).ok());
     uint64_t serial_total = 0;
     for (const auto& q : queries) {
-      const Capture c = Serial(*m, q, /*multiway=*/1, /*simd=*/-1);
+      const Capture c = Serial(*m, q, /*multiway=*/true);
       serial_total += c.result.stats.multiway_intersections;
     }
     EXPECT_GT(serial_total, 0u) << m->name();
@@ -294,6 +272,97 @@ TEST(MultiwayTest, CountersSurfaceThroughPoolGauges) {
         << m->name();
     const std::string line = FormatKernelGauges(gauges);
     EXPECT_NE(line.find("multiway="), std::string::npos) << line;
+  }
+}
+
+// ---- Closed-form oracle ----
+
+// Unlabelled graphs whose motif counts are known in closed form, so the
+// expected answers come from no matcher and no configuration. A k-vertex
+// query has n!/(n-k)! embeddings in K_n: every injective map keeps every
+// edge. The wheel (a centre joined to every vertex of an n-cycle) has n
+// triangles and n 4-cycles, each through the centre; the s x s grid has
+// (s-1)^2 4-cycles and no triangle. Embeddings are motifs times the
+// motif's automorphisms: 6 for a triangle, 8 for a 4-cycle.
+Graph Wheel(uint32_t rim) {
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId i = 0; i < rim; ++i) {
+    edges.push_back({0, 1 + i});
+    edges.push_back({1 + i, 1 + (i + 1) % rim});
+  }
+  return testing::MakeGraph(std::vector<LabelId>(rim + 1, 0), edges,
+                            "wheel");
+}
+
+Graph Grid(uint32_t side) {
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId v = 0; v < side * side; ++v) {
+    if (v % side + 1 < side) edges.push_back({v, v + 1});
+    if (v + side < side * side) edges.push_back({v, v + side});
+  }
+  return testing::MakeGraph(std::vector<LabelId>(side * side, 0), edges,
+                            "grid");
+}
+
+TEST(MultiwayTest, ClosedFormMotifCounts) {
+  const Graph k12 = testing::MakeClique(std::vector<LabelId>(12, 0));
+  const Graph k70 = testing::MakeClique(std::vector<LabelId>(70, 0));
+  const Graph wheel = Wheel(80);
+  const Graph grid = Grid(10);
+  const Graph triangle = testing::MakeCycle({0, 0, 0});
+  const Graph c4 = testing::MakeCycle({0, 0, 0, 0});
+  const Graph k4 = testing::MakeClique({0, 0, 0, 0});
+  // `hubs` pins which kernel path runs: none (K12, the grid's two-input
+  // fast path), every input (K70) or exactly one (the wheel's centre).
+  struct Case {
+    const char* name;
+    const Graph& g;
+    size_t hubs;
+    const Graph& q;
+    uint64_t embeddings;
+  };
+  const Case cases[] = {
+      {"K12 triangle", k12, 0, triangle, 12 * 11 * 10},
+      {"K12 C4", k12, 0, c4, 12 * 11 * 10 * 9},
+      {"K12 K4", k12, 0, k4, 12 * 11 * 10 * 9},
+      {"K70 triangle", k70, 70, triangle, 70 * 69 * 68},
+      {"W80 triangle", wheel, 1, triangle, 6 * 80},
+      {"W80 C4", wheel, 1, c4, 8 * 80},
+      {"grid C4", grid, 0, c4, 8 * 9 * 9},
+      {"grid triangle", grid, 0, triangle, 0},
+  };
+  // Explicit options, so the hub split depends on no environment knob.
+  CandidateIndexOptions io;
+  io.bitset_degree_threshold = 64;
+  io.bitset_memory_budget_bytes = 64 << 20;
+  const char* const configs[] = {"index off", "index on, multiway off",
+                                 "index on, multiway on"};
+  for (const Case& c : cases) {
+    const auto index = CandidateIndex::Build(c.g, io);
+    ASSERT_EQ(index->num_hubs(), c.hubs) << c.name;
+    for (int which = 0; which < 4; ++which) {
+      for (int config = 0; config < 3; ++config) {
+        auto m = MakeMatcher(which);
+        m->set_candidate_index(config == 0 ? nullptr : index);
+        ASSERT_TRUE(m->Prepare(c.g).ok());
+        MatchOptions mo;
+        mo.max_embeddings = 1u << 30;
+        mo.multiway = config == 2;
+        const MatchResult r = m->Match(c.q, mo);
+        EXPECT_TRUE(r.complete) << c.name << ", " << m->name() << ", "
+                                << configs[config];
+        EXPECT_EQ(r.embedding_count, c.embeddings)
+            << c.name << ", " << m->name() << ", " << configs[config];
+        // Every query here is cyclic, so the kernel must engage wherever a
+        // search gets past its first two vertices. Only VF2 stops earlier,
+        // on the triangle-free grid: its look-ahead refutes each triangle
+        // at depth 1.
+        if (config == 2 && (c.embeddings > 0 || m->name() != "VF2")) {
+          EXPECT_GT(r.stats.multiway_intersections, 0u)
+              << c.name << ", " << m->name();
+        }
+      }
+    }
   }
 }
 
