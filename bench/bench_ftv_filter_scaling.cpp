@@ -7,7 +7,8 @@
 //    best of three builds per row;
 //  * filter throughput — queries/second over a repeated workload,
 //    filtering only (no verification), with `Filter` on each index; best
-//    and worst of five windows of at least 200 ms each per row;
+//    and worst of five windows of at least 200 ms each per row, taken
+//    round-robin across the rows so every row sees the same host load;
 //  * index size — postings over the index's range tries
 //    (GrapesIndex::num_postings), one per (canonical label path, graph)
 //    pair, so every row of one collection reads the same count.
@@ -23,8 +24,10 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench/bench_util.hpp"
 #include "exec/executor.hpp"
@@ -81,33 +84,42 @@ struct FilterRun {
   size_t candidates = 0;
 };
 
-/// One unmeasured warm-up pass, then kWindows timed windows. Each window
-/// repeats whole passes of Filter over the workload until it has run for
+/// One unmeasured warm-up pass per index, then kWindows rounds. A round
+/// times one window of every index in turn, so window w of every row is
+/// taken before window w+1 of any row and the rows' ratios compare
+/// windows taken under the same stretch of host load. Each window repeats
+/// whole passes of Filter over the workload until it has run for
 /// kWindowMs, so a row's rate does not hang on a few milliseconds of
 /// timing.
 constexpr int kWindows = 5;
 constexpr double kWindowMs = 200.0;
-FilterRun MeasureFilter(const GrapesIndex& index,
-                        std::span<const gen::Query> workload) {
-  for (const gen::Query& q : workload) index.Filter(q.graph);
-  FilterRun run;
-  for (int w = 0; w < kWindows; ++w) {
-    size_t queries = 0;
-    double ms = 0.0;
-    const auto t0 = Clock::now();
-    do {
-      run.candidates = 0;
-      for (const gen::Query& q : workload) {
-        run.candidates += index.Filter(q.graph).size();
-      }
-      queries += workload.size();
-      ms = MsSince(t0);
-    } while (ms < kWindowMs);
-    const double qps = 1000.0 * static_cast<double>(queries) / ms;
-    run.best_qps = w == 0 ? qps : std::max(run.best_qps, qps);
-    run.worst_qps = w == 0 ? qps : std::min(run.worst_qps, qps);
+std::vector<FilterRun> MeasureFilters(
+    std::span<const GrapesIndex* const> indexes,
+    std::span<const gen::Query> workload) {
+  for (const GrapesIndex* index : indexes) {
+    for (const gen::Query& q : workload) index->Filter(q.graph);
   }
-  return run;
+  std::vector<FilterRun> runs(indexes.size());
+  for (int w = 0; w < kWindows; ++w) {
+    for (size_t i = 0; i < indexes.size(); ++i) {
+      FilterRun& run = runs[i];
+      size_t queries = 0;
+      double ms = 0.0;
+      const auto t0 = Clock::now();
+      do {
+        run.candidates = 0;
+        for (const gen::Query& q : workload) {
+          run.candidates += indexes[i]->Filter(q.graph).size();
+        }
+        queries += workload.size();
+        ms = MsSince(t0);
+      } while (ms < kWindowMs);
+      const double qps = 1000.0 * static_cast<double>(queries) / ms;
+      run.best_qps = w == 0 ? qps : std::max(run.best_qps, qps);
+      run.worst_qps = w == 0 ? qps : std::min(run.worst_qps, qps);
+    }
+  }
+  return runs;
 }
 
 }  // namespace
@@ -127,11 +139,31 @@ int main(int argc, char** argv) {
   json.Metric("hardware_concurrency",
               static_cast<double>(std::thread::hardware_concurrency()));
 
+  // Every index is built first, then all rows' filter windows are taken
+  // round-robin (MeasureFilters).
   // Serial baseline: the single-trie index, built inline.
   BuildRun serial_build;
   const auto serial = TimeBuilds(GrapesOptions{}, ds, &serial_build);
   if (serial == nullptr) return 1;
-  const FilterRun base = MeasureFilter(*serial, workload);
+  const size_t widths[] = {1, 2, 4};
+  std::vector<std::unique_ptr<Executor>> pools;
+  std::vector<std::unique_ptr<GrapesIndex>> sharded;
+  std::vector<BuildRun> builds(std::size(widths));
+  for (size_t row = 0; row < std::size(widths); ++row) {
+    ExecutorOptions eo;
+    eo.num_threads = widths[row];
+    pools.push_back(std::make_unique<Executor>(eo));
+    GrapesOptions go;
+    go.filter_shards = 0;  // one range per pool worker
+    go.executor = pools.back().get();
+    sharded.push_back(TimeBuilds(go, ds, &builds[row]));
+    if (sharded.back() == nullptr) return 1;
+  }
+  std::vector<const GrapesIndex*> rows = {serial.get()};
+  for (const auto& index : sharded) rows.push_back(index.get());
+  const std::vector<FilterRun> filters = MeasureFilters(rows, workload);
+
+  const FilterRun& base = filters[0];
   std::printf("%-20s build=%7.1fms (worst %7.1fms)  filter=%8.1f q/s "
               "(worst %8.1f)  candidates=%zu  postings=%zu\n",
               "serial/single-trie", serial_build.best_ms,
@@ -144,29 +176,22 @@ int main(int argc, char** argv) {
 
   bool identical = true;
   double width4_build_ms = 0.0;
-  for (size_t width : {size_t{1}, size_t{2}, size_t{4}}) {
-    ExecutorOptions eo;
-    eo.num_threads = width;
-    Executor exec(eo);
-
-    GrapesOptions go;
-    go.filter_shards = 0;  // one range per pool worker
-    go.executor = &exec;
-    BuildRun build;
-    const auto sharded = TimeBuilds(go, ds, &build);
-    if (sharded == nullptr) return 1;
-    const FilterRun run = MeasureFilter(*sharded, workload);
+  for (size_t row = 0; row < std::size(widths); ++row) {
+    const size_t width = widths[row];
+    const GrapesIndex& index = *sharded[row];
+    const BuildRun& build = builds[row];
+    const FilterRun& run = filters[row + 1];
     // Candidate-set identity spot check (the differential harness in
     // tests/ftv_parallel_filter_test.cpp is the exhaustive version).
     for (const gen::Query& q : workload) {
-      if (serial->Filter(q.graph) != sharded->Filter(q.graph)) {
+      if (serial->Filter(q.graph) != index.Filter(q.graph)) {
         identical = false;
         break;
       }
     }
     char label[64];
     std::snprintf(label, sizeof(label), "width=%zu/ranges=%zu", width,
-                  sharded->num_filter_shards());
+                  index.num_filter_shards());
     const double build_speedup =
         build.best_ms > 0.0 ? serial_build.best_ms / build.best_ms : 0.0;
     std::printf("%-20s build=%7.1fms (worst %7.1fms)  filter=%8.1f q/s "
@@ -175,18 +200,17 @@ int main(int argc, char** argv) {
                 label, build.best_ms, build.worst_ms, run.best_qps,
                 run.worst_qps, build_speedup,
                 base.best_qps > 0.0 ? run.best_qps / base.best_qps : 0.0,
-                sharded->num_postings());
+                index.num_postings());
     const std::string key = "width" + std::to_string(width);
     json.Metric(key + "_build_ms", build.best_ms);
     json.Metric(key + "_build_speedup", build_speedup);
     json.Metric(key + "_filter_qps", run.best_qps);
     json.Metric(key + "_filter_qps_worst", run.worst_qps);
-    json.Metric(key + "_postings",
-                static_cast<double>(sharded->num_postings()));
+    json.Metric(key + "_postings", static_cast<double>(index.num_postings()));
     if (width == 4) width4_build_ms = build.best_ms;
 
-    PoolGauges g = exec.gauges();
-    sharded->filter_stats().AddTo(&g);
+    PoolGauges g = pools[row]->gauges();
+    index.filter_stats().AddTo(&g);
     std::printf("  %s\n  %s\n", FormatPoolGauges(g).c_str(),
                 FormatFilterGauges(g).c_str());
   }

@@ -6,8 +6,12 @@
 // the hardware allows" goal; CI's bench-smoke job archives the --json
 // output so every commit appends a data point.
 
+#include <algorithm>
+#include <chrono>
 #include <iostream>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -112,6 +116,31 @@ bool SameAnswers(const Arm& got, const Arm& want, const char* matcher,
 
 double Ratio(double num, double den) { return den > 0 ? num / den : 0.0; }
 
+// One wall-clock window of --multiway: whole passes of RunArm repeat
+// until the window has run for kWindowMs, and the window reads its time
+// per pass, so an arm's wall does not hang on a few milliseconds of
+// timing. Nothing when a pass left a query incomplete (AllComplete says
+// which).
+constexpr int kWindows = 5;
+constexpr double kWindowMs = 200.0;
+std::optional<double> WindowMsPerPass(const Matcher& m,
+                                      std::span<const gen::Query> workload,
+                                      double cap_ms, bool multiway,
+                                      uint64_t max_embeddings,
+                                      const char* matcher, const char* tag) {
+  using Clock = std::chrono::steady_clock;
+  int passes = 0;
+  double ms = 0.0;
+  const auto t0 = Clock::now();
+  do {
+    const Arm r = RunArm(m, workload, cap_ms, multiway, max_embeddings);
+    if (!AllComplete(r, matcher, tag, cap_ms)) return std::nullopt;
+    ++passes;
+    ms = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+  } while (ms < kWindowMs);
+  return ms / passes;
+}
+
 // Cyclic NFV workload: only queries with at least one cycle. A tree query
 // never gives a connected matching order two matched backward neighbours,
 // so it can't exercise the multiway kernel at all — the generated
@@ -141,7 +170,8 @@ std::vector<gen::Query> CyclicWorkload(const Graph& g,
 // --multiway: the WCOJ extension kernel (match/intersect.hpp) against the
 // enumerate-then-check path, both under the shared index — legacy
 // (multiway off) vs. multiway on. Same workload, same answers, fewer
-// candidates tried.
+// candidates tried. Each arm's wall is per pass over the workload, the
+// best of five interleaved windows of at least 200 ms (WindowMsPerPass).
 int RunMultiwayComparison(JsonOut& json, const Graph& g, double cap_ms) {
   // Small cyclic motifs (triangles, squares, diamonds, near-cliques):
   // nearly every extension past depth 1 closes a cycle, which is the
@@ -177,16 +207,25 @@ int RunMultiwayComparison(JsonOut& json, const Graph& g, double cap_ms) {
     constexpr uint64_t kDeepCap = 100000;
     Arm results[2];
     RunArm(*m, workload, cap_ms, false, kDeepCap);  // warm-up
+    // The counters are deterministic: one pass per arm reads them.
     for (int a = 0; a < 2; ++a) {
-      // Best-of-3: counters are deterministic across rounds; wall-clock
-      // takes the least-disturbed round.
-      for (int round = 0; round < 3; ++round) {
-        Arm r = RunArm(*m, workload, cap_ms, arms[a].multiway, kDeepCap);
-        if (!AllComplete(r, names[which], arms[a].tag, cap_ms)) return 1;
-        if (round == 0 || r.wall_ms < results[a].wall_ms) {
-          results[a] = std::move(r);
-        }
+      results[a] = RunArm(*m, workload, cap_ms, arms[a].multiway, kDeepCap);
+      if (!AllComplete(results[a], names[which], arms[a].tag, cap_ms)) {
+        return 1;
       }
+    }
+    // The wall is the best of kWindows windows per arm, with the two
+    // arms' windows interleaved so both see the same stretch of host load.
+    for (int w = 0; w < kWindows; ++w) {
+      for (int a = 0; a < 2; ++a) {
+        const auto ms = WindowMsPerPass(*m, workload, cap_ms,
+                                        arms[a].multiway, kDeepCap,
+                                        names[which], arms[a].tag);
+        if (!ms) return 1;
+        results[a].wall_ms = w == 0 ? *ms : std::min(results[a].wall_ms, *ms);
+      }
+    }
+    for (int a = 0; a < 2; ++a) {
       std::printf("%-7s  %-8s  %9.2f  %9llu  %9llu  %9llu\n", names[which],
                   arms[a].tag, results[a].wall_ms,
                   static_cast<unsigned long long>(results[a].tried),

@@ -14,6 +14,9 @@
 //                a whole group can be cancelled cooperatively. A race is
 //                one group; a parallel workload is one group; cancelling
 //                the group trips every member's CostGuard.
+//  * DrainIndices — the caller-plus-helpers fan-out over [0, count) that
+//                index builds (sPath signatures, FTV shard tries) and the
+//                parallel FTV runner share.
 //
 // Three properties make the pool safe to share across the whole system:
 //
@@ -58,6 +61,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <limits>
 #include <mutex>
@@ -343,6 +347,49 @@ class TaskGroup {
   std::condition_variable cv_;
   size_t pending_ = 0;  // guarded by mutex_
 };
+
+/// The one caller-plus-helpers fan-out for index-parallel work (index
+/// builds and the parallel FTV runner): runs `body(i)` exactly once for
+/// every i in [0, count) on the calling thread plus `helpers` tasks
+/// spawned on `executor`. Every participant claims indices from one
+/// atomic cursor. A helper the bounded queue rejects or sheds, or that a
+/// fault displaces, claims nothing, and the caller's own drain finishes
+/// the rest, so the work done is the same under any pool width, queue
+/// capacity or fault schedule. A participant calls `make_body()` once, on
+/// its first claimed index, and runs every index it claims through the
+/// returned callable: per-participant scratch lives there, and a helper
+/// that claims nothing allocates none. An exception a helper's body
+/// throws is rethrown on the caller after the join.
+template <typename MakeBody>
+void DrainIndices(Executor& executor, size_t count, size_t helpers,
+                  MakeBody&& make_body) {
+  std::atomic<size_t> cursor{0};
+  const auto participate = [&] {
+    size_t i = cursor.fetch_add(1);
+    if (i >= count) return;
+    auto body = make_body();
+    for (; i < count; i = cursor.fetch_add(1)) body(i);
+  };
+  std::mutex failure_mutex;
+  std::exception_ptr failure;
+  {
+    TaskGroup group(executor);
+    for (size_t h = 0; h < helpers; ++h) {
+      group.Spawn([&](TaskStart start) {
+        if (start != TaskStart::kRun) return;
+        try {
+          participate();
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(failure_mutex);
+          if (!failure) failure = std::current_exception();
+        }
+      });
+    }
+    participate();
+    group.Wait();
+  }
+  if (failure) std::rethrow_exception(failure);
+}
 
 }  // namespace psi
 

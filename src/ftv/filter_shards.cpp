@@ -79,27 +79,10 @@ std::vector<PathTrie> BuildShardTries(const GraphDataset& dataset,
     for (size_t si = 0; si < ranges.size(); ++si) build(si);
     return tries;
   }
-  std::vector<uint8_t> displaced(ranges.size(), 0);
-  {
-    TaskGroup group(executor != nullptr ? *executor : Executor::Shared());
-    for (size_t si = 0; si < ranges.size(); ++si) {
-      const Admission admission = group.Spawn([&, si](TaskStart start) {
-        if (start != TaskStart::kRun) {
-          // Shed while queued (or the group was torn down): the range
-          // builds inline after the join. Wait() makes the write visible
-          // to the joiner.
-          displaced[si] = 1;
-          return;
-        }
-        build(si);
-      });
-      if (admission == Admission::kRejected) displaced[si] = 1;
-    }
-    group.Wait();
-  }
-  for (size_t si = 0; si < ranges.size(); ++si) {
-    if (displaced[si] != 0) build(si);
-  }
+  // One helper per range; the caller claims ranges too, so a range whose
+  // helper the bounded queue displaced is built on the calling thread.
+  DrainIndices(executor != nullptr ? *executor : Executor::Shared(),
+               ranges.size(), ranges.size(), [&] { return build; });
   return tries;
 }
 

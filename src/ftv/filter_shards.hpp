@@ -6,11 +6,12 @@
 // What does not stay trivial as the collection grows is the index
 // *build*, so the collection is sharded: the stored graphs are partitioned
 // into contiguous id ranges, each range gets its own PathTrie, and each
-// range's trie is built by one pool task over its own graphs only. Builds
-// scale with the pool, and the shard tries are identical to what a serial
-// build of each range would produce (a fixed graph yields a deterministic
-// trie). Range tasks the bounded queue rejects or sheds build inline on
-// the caller, so the index is complete under any queue capacity.
+// range's trie is built by one participant over its own graphs only: the
+// caller and pool helpers claim ranges from one cursor. Builds scale with
+// the pool, and the shard tries are identical to what a serial build of
+// each range would produce (a fixed graph yields a deterministic trie).
+// Ranges no helper claims (the bounded queue rejected or shed it) build
+// on the caller, so the index is complete under any queue capacity.
 //
 // The filter walks the shard tries in range order, one after another.
 // The per-graph decision depends only on that graph's own postings, so
@@ -141,11 +142,13 @@ void ForEachCoveringGraph(const PathTrie& trie, ShardRange range,
   }
 }
 
-/// Builds one PathTrie per shard range, each indexing only its own graphs,
-/// as one TaskGroup on `executor` (nullptr = the shared pool). Ranges whose
-/// build task the bounded queue displaces are built inline on the calling
-/// thread, so the result is complete under any queue capacity. With a
-/// single range the build is inline and never touches the executor.
+/// Builds one PathTrie per shard range, each indexing only its own graphs.
+/// The calling thread and one helper task per range on `executor`
+/// (nullptr = the shared pool) claim ranges from one cursor
+/// (DrainIndices, exec/executor.hpp). A helper the bounded queue rejects
+/// or sheds claims nothing and the caller builds what is left, so the
+/// result is complete under any queue capacity. With a single range the
+/// build is inline and never touches the executor.
 std::vector<PathTrie> BuildShardTries(const GraphDataset& dataset,
                                       uint32_t max_path_edges,
                                       bool with_components,

@@ -26,6 +26,7 @@
 namespace psi {
 
 class CandidateIndex;  // match/candidate_index.hpp
+class Executor;        // exec/executor.hpp
 struct PoolGauges;     // metrics/metrics.hpp
 
 /// One embedding: data-graph vertex assigned to each query vertex
@@ -221,7 +222,9 @@ class Matcher {
 
   /// Builds the per-stored-graph index. Must be called exactly once before
   /// Match. Not subject to the query cap (paper §3.2: the 10' limit does
-  /// not apply to indexing).
+  /// not apply to indexing). A build that parallelizes (sPath's distance
+  /// signatures) runs on the calling thread plus helpers on the pool set
+  /// by set_executor().
   virtual Status Prepare(const Graph& data) = 0;
 
   /// Finds embeddings of `query` in the prepared graph. Thread-safe:
@@ -260,6 +263,11 @@ class Matcher {
   /// Kernel-effort counters accumulated over every Match() call.
   MatchKernelStats& kernel_stats() const { return kernel_stats_; }
 
+  /// The pool Prepare fans its index build out on; nullptr (the default)
+  /// means Executor::Shared(). Set it before Prepare: PsiEngine::Prepare
+  /// hands over its own pool, as it hands over the candidate index.
+  void set_executor(Executor* executor) { executor_ = executor; }
+
  protected:
   /// Resolves the index for `data` at Prepare time: keeps a matching
   /// injected index (rebuilding if it was built over a different graph),
@@ -278,6 +286,7 @@ class Matcher {
   std::shared_ptr<const CandidateIndex> candidate_index_;
   bool candidate_index_injected_ = false;
   mutable MatchKernelStats kernel_stats_;
+  Executor* executor_ = nullptr;
 };
 
 /// Factory signature used by portfolio configuration.

@@ -55,6 +55,9 @@ Status PsiEngine::Prepare(const Graph& data, const StopToken* stop) {
   for (auto& m : matchers_) {
     if (cancelled()) return Status::Aborted("prepare cancelled");
     m->set_candidate_index(candidate_index_);
+    // Index builds that fan out (sPath's signatures) use the engine's
+    // pool, which is otherwise idle until the first query.
+    m->set_executor(&executor());
     PSI_RETURN_NOT_OK(m->Prepare(data));
   }
   if (cancelled()) return Status::Aborted("prepare cancelled");

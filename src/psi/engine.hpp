@@ -45,7 +45,8 @@ struct PsiEngineOptions {
   /// mode — all races share one persistent pool (see src/exec/), which is
   /// what makes many concurrent clients cheap.
   RaceMode mode = RaceMode::kThreads;
-  /// Pool used when mode == kPool; nullptr = Executor::Shared().
+  /// Pool used when mode == kPool, and by Prepare's index builds in any
+  /// mode; nullptr = Executor::Shared().
   Executor* executor = nullptr;
   /// Rewritings raced per matcher. Default: Orig + DND (the paper's most
   /// cost-effective NFV configuration, Fig 14-15).

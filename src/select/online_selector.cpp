@@ -21,11 +21,25 @@ void OnlineSelector::Observe(const QueryFeatures& f, size_t winner_variant) {
   Sample s;
   Featurize(f, s.x);
   s.winner = winner_variant;
-  samples_.push_back(s);
-  if (samples_.size() > max_samples_) {
-    samples_.erase(samples_.begin(),
-                   samples_.begin() + (samples_.size() - max_samples_));
+  if (samples_.size() < max_samples_) {
+    samples_.push_back(s);
+  } else if (!samples_.empty()) {
+    samples_[oldest_] = s;
+    oldest_ = (oldest_ + 1) % samples_.size();
   }
+}
+
+void OnlineSelector::set_max_samples(size_t n) {
+  // Back to oldest-first storage, then drop the oldest beyond the new cap.
+  std::rotate(samples_.begin(),
+              samples_.begin() + static_cast<std::ptrdiff_t>(oldest_),
+              samples_.end());
+  oldest_ = 0;
+  if (samples_.size() > n) {
+    samples_.erase(samples_.begin(),
+                   samples_.end() - static_cast<std::ptrdiff_t>(n));
+  }
+  max_samples_ = n;
 }
 
 std::vector<double> OnlineSelector::VoteScores(const QueryFeatures& f,
@@ -34,13 +48,16 @@ std::vector<double> OnlineSelector::VoteScores(const QueryFeatures& f,
   if (samples_.empty() || num_variants == 0) return scores;
   double q[6];
   Featurize(f, q);
-  // Distances to all samples; take the k nearest.
+  // Distances to all samples, oldest first, so (distance, age) breaks
+  // ties among equidistant samples; take the k nearest.
   std::vector<std::pair<double, size_t>> dist;
   dist.reserve(samples_.size());
-  for (size_t i = 0; i < samples_.size(); ++i) {
+  for (size_t i = 0, slot = oldest_; i < samples_.size(); ++i) {
+    const Sample& s = samples_[slot];
+    if (++slot == samples_.size()) slot = 0;
     double d2 = 0.0;
     for (int j = 0; j < 6; ++j) {
-      const double d = q[j] - samples_[i].x[j];
+      const double d = q[j] - s.x[j];
       d2 += d * d;
     }
     dist.emplace_back(d2, i);
@@ -48,7 +65,7 @@ std::vector<double> OnlineSelector::VoteScores(const QueryFeatures& f,
   const size_t k = std::min(k_, dist.size());
   std::partial_sort(dist.begin(), dist.begin() + k, dist.end());
   for (size_t r = 0; r < k; ++r) {
-    const Sample& s = samples_[dist[r].second];
+    const Sample& s = SampleAt(dist[r].second);
     if (s.winner < num_variants) {
       scores[s.winner] += 1.0 / (1.0 + dist[r].first);
     }

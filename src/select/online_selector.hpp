@@ -43,7 +43,7 @@ class OnlineSelector {
 
   size_t sample_count() const { return samples_.size(); }
   /// Caps memory: oldest samples are dropped beyond this (default 4096).
-  void set_max_samples(size_t n) { max_samples_ = n; }
+  void set_max_samples(size_t n);
 
  private:
   struct Sample {
@@ -53,10 +53,17 @@ class OnlineSelector {
   static void Featurize(const QueryFeatures& f, double out[6]);
   std::vector<double> VoteScores(const QueryFeatures& f,
                                  size_t num_variants) const;
+  /// The i-th oldest held sample.
+  const Sample& SampleAt(size_t i) const {
+    return samples_[(oldest_ + i) % samples_.size()];
+  }
 
   size_t k_;
   size_t max_samples_ = 4096;
+  /// A ring buffer once full: a new sample overwrites the oldest, at
+  /// `oldest_`, so Observe never moves the others.
   std::vector<Sample> samples_;
+  size_t oldest_ = 0;
 };
 
 }  // namespace psi

@@ -1,64 +1,194 @@
 #include "spath/spath.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <deque>
 
+#include "exec/executor.hpp"
 #include "match/scratch.hpp"
 
 namespace psi {
 
-std::vector<std::vector<SPathMatcher::NsEntry>> BuildDistanceSignatures(
-    const Graph& g, uint32_t radius) {
-  radius = std::min(radius, SPathMatcher::kMaxRadius);
-  const uint32_t n = g.num_vertices();
-  std::vector<std::vector<SPathMatcher::NsEntry>> out(n);
+namespace {
 
-  // Epoch-stamped scratch so per-vertex BFS needs no O(n) clears.
-  std::vector<uint32_t> seen_epoch(n, 0);
-  std::vector<VertexId> frontier, next;
-  const LabelId universe = g.LabelUniverseUpperBound();
-  // counts[label][d-1] for the current BFS; `touched` lists dirty labels.
-  std::vector<std::array<uint32_t, SPathMatcher::kMaxRadius>> counts(
-      universe);
-  std::vector<LabelId> touched;
+using NsEntry = SPathMatcher::NsEntry;
+using Signatures = std::vector<std::vector<NsEntry>>;
 
-  for (VertexId src = 0; src < n; ++src) {
-    const uint32_t epoch = src + 1;
-    seen_epoch[src] = epoch;
-    frontier.assign(1, src);
-    for (uint32_t d = 1; d <= radius && !frontier.empty(); ++d) {
-      next.clear();
-      for (VertexId v : frontier) {
-        for (VertexId w : g.neighbors(v)) {
-          if (seen_epoch[w] == epoch) continue;
-          seen_epoch[w] = epoch;
-          next.push_back(w);
-          const LabelId l = g.label(w);
-          if (counts[l][0] == 0 && counts[l][1] == 0 && counts[l][2] == 0 &&
-              counts[l][3] == 0) {
-            touched.push_back(l);
-          }
-          ++counts[l][d - 1];
+// Sources per batch: one bit of a 64-bit mask each.
+constexpr uint32_t kBatchWidth = 64;
+
+// The graph's distinct labels, ascending, and each vertex's rank among
+// them. The batch counters are indexed by rank, so their size follows the
+// labels present, not the largest label id.
+struct LabelRanks {
+  std::vector<LabelId> labels;
+  std::vector<uint32_t> of_vertex;
+
+  explicit LabelRanks(const Graph& g) : of_vertex(g.num_vertices()) {
+    labels.reserve(g.num_vertices());
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      labels.push_back(g.label(v));
+    }
+    std::sort(labels.begin(), labels.end());
+    labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      of_vertex[v] = static_cast<uint32_t>(
+          std::lower_bound(labels.begin(), labels.end(), g.label(v)) -
+          labels.begin());
+    }
+  }
+};
+
+// One participant's state for the bit-parallel multi-source BFS (MS-BFS,
+// Then et al., PVLDB 2014): source `first + i` of a batch owns bit i of
+// every mask. One pass over a level's frontier advances all the batch's
+// sources at once, so a vertex's adjacency is read once per batch and
+// level instead of once per source. Every array is reset through the
+// lists of entries the batch dirtied, never by a full sweep.
+class SignatureBatch {
+ public:
+  SignatureBatch(const Graph& g, const LabelRanks& ranks, uint32_t radius,
+                 Signatures& out)
+      : g_(g),
+        ranks_(ranks),
+        radius_(radius),
+        stride_(std::min(kBatchWidth, g.num_vertices())),
+        out_(out),
+        seen_(g.num_vertices(), 0),
+        next_(g.num_vertices(), 0),
+        count_(ranks.labels.size() * SPathMatcher::kMaxRadius * stride_, 0),
+        label_sources_(ranks.labels.size(), 0) {}
+
+  // Writes the signatures of sources [first, first + 64) clipped to the
+  // graph, and nothing else.
+  void Run(VertexId first) {
+    const uint32_t width =
+        std::min(kBatchWidth, g_.num_vertices() - first);
+    for (uint32_t i = 0; i < width; ++i) {
+      const uint64_t bit = uint64_t{1} << i;
+      seen_[first + i] = bit;  // a source is seen, never counted
+      touched_.push_back(first + i);
+      frontier_.push_back({first + i, bit});
+    }
+    for (uint32_t d = 0; d < radius_ && !frontier_.empty(); ++d) {
+      for (const auto& [v, bits] : frontier_) {
+        for (VertexId w : g_.neighbors(v)) {
+          const uint64_t fresh = bits & ~seen_[w];
+          if (fresh == 0) continue;
+          if (next_[w] == 0) reached_.push_back(w);
+          next_[w] |= fresh;
         }
       }
-      frontier.swap(next);
-    }
-    auto& sig = out[src];
-    sig.reserve(touched.size());
-    std::sort(touched.begin(), touched.end());
-    for (LabelId l : touched) {
-      SPathMatcher::NsEntry e;
-      e.label = l;
-      uint32_t acc = 0;
-      for (uint32_t d = 0; d < SPathMatcher::kMaxRadius; ++d) {
-        acc += counts[l][d];
-        e.cum[d] = acc;
-        counts[l][d] = 0;
+      // `seen` changes only here, at the level's end, so a vertex that a
+      // source reaches along several paths of one level counts once.
+      frontier_.clear();
+      for (VertexId w : reached_) {
+        const uint64_t bits = next_[w];
+        next_[w] = 0;
+        if (seen_[w] == 0) touched_.push_back(w);
+        seen_[w] |= bits;
+        frontier_.push_back({w, bits});
+        Count(ranks_.of_vertex[w], d, bits);
       }
-      sig.push_back(e);
+      reached_.clear();
     }
-    touched.clear();
+    frontier_.clear();
+    Emit(first);
+    for (VertexId v : touched_) seen_[v] = 0;
+    touched_.clear();
   }
+
+ private:
+  uint32_t& Counter(uint32_t rank, uint32_t d, uint32_t source) {
+    return count_[(static_cast<size_t>(rank) * SPathMatcher::kMaxRadius +
+                   d) * stride_ + source];
+  }
+
+  // One vertex of label rank `rank` first reached at distance d + 1 by
+  // every source in `bits`.
+  void Count(uint32_t rank, uint32_t d, uint64_t bits) {
+    if (label_sources_[rank] == 0) ranks_hit_.push_back(rank);
+    label_sources_[rank] |= bits;
+    for (; bits != 0; bits &= bits - 1) {
+      ++Counter(rank, d, static_cast<uint32_t>(std::countr_zero(bits)));
+    }
+  }
+
+  // Appends one cumulative entry per (source, label) the batch reached.
+  // Walking the ranks in ascending order appends each source's entries in
+  // ascending label order; the signatures are sized exactly first.
+  void Emit(VertexId first) {
+    std::sort(ranks_hit_.begin(), ranks_hit_.end());
+    std::array<uint32_t, kBatchWidth> entries{};
+    for (uint32_t rank : ranks_hit_) {
+      for (uint64_t b = label_sources_[rank]; b != 0; b &= b - 1) {
+        ++entries[std::countr_zero(b)];
+      }
+    }
+    for (uint32_t i = 0; i < kBatchWidth; ++i) {
+      if (entries[i] != 0) out_[first + i].reserve(entries[i]);
+    }
+    for (uint32_t rank : ranks_hit_) {
+      for (uint64_t b = label_sources_[rank]; b != 0; b &= b - 1) {
+        const auto source = static_cast<uint32_t>(std::countr_zero(b));
+        NsEntry e;
+        e.label = ranks_.labels[rank];
+        uint32_t acc = 0;
+        for (uint32_t d = 0; d < SPathMatcher::kMaxRadius; ++d) {
+          uint32_t& c = Counter(rank, d, source);
+          acc += c;
+          c = 0;
+          e.cum[d] = acc;
+        }
+        out_[first + source].push_back(e);
+      }
+      label_sources_[rank] = 0;
+    }
+    ranks_hit_.clear();
+  }
+
+  const Graph& g_;
+  const LabelRanks& ranks_;
+  const uint32_t radius_;
+  const uint32_t stride_;  // sources per counter row: min(64, |V|)
+  Signatures& out_;
+  std::vector<uint64_t> seen_;  // per vertex: sources that reached it
+  std::vector<uint64_t> next_;  // per vertex: sources reaching it now
+  std::vector<std::pair<VertexId, uint64_t>> frontier_;
+  std::vector<VertexId> reached_;  // vertices with next_ != 0
+  std::vector<VertexId> touched_;  // vertices with seen_ != 0
+  // count_[(rank * kMaxRadius + d) * stride_ + source]: vertices of that
+  // label first reached at distance d + 1.
+  std::vector<uint32_t> count_;
+  std::vector<uint64_t> label_sources_;  // per rank: sources counting it
+  std::vector<uint32_t> ranks_hit_;      // ranks with label_sources_ != 0
+};
+
+}  // namespace
+
+Signatures BuildDistanceSignatures(const Graph& g, uint32_t radius,
+                                   Executor* executor) {
+  radius = std::min(radius, SPathMatcher::kMaxRadius);
+  const uint32_t n = g.num_vertices();
+  Signatures out(n);
+  if (n == 0 || radius == 0) return out;
+  const LabelRanks ranks(g);
+  const size_t batches = (n + kBatchWidth - 1) / kBatchWidth;
+  if (batches == 1) {
+    // Every query lands here: one batch on the calling thread, and the
+    // executor is never touched.
+    SignatureBatch(g, ranks, radius, out).Run(0);
+    return out;
+  }
+  Executor& exec = executor != nullptr ? *executor : Executor::Shared();
+  DrainIndices(exec, batches, std::min(exec.num_threads(), batches - 1),
+               [&] {
+                 return [batch = SignatureBatch(g, ranks, radius, out)](
+                            size_t b) mutable {
+                   batch.Run(static_cast<VertexId>(b * kBatchWidth));
+                 };
+               });
   return out;
 }
 
@@ -141,7 +271,7 @@ Status SPathMatcher::Prepare(const Graph& data) {
   data_ = &data;
   data.EnsureLabelIndex();
   PrepareCandidateIndex(data);
-  ns_ = BuildDistanceSignatures(data, options_.radius);
+  ns_ = BuildDistanceSignatures(data, options_.radius, executor_);
   return Status::OK();
 }
 

@@ -4,7 +4,12 @@
 // signature — for each label, the cumulative count of vertices carrying it
 // within shortest-path distance 1..radius (paper setup: radius 4). This is
 // the decomposed storage the original uses instead of materialising
-// shortest paths.
+// shortest paths. The build is a bit-parallel multi-source BFS (MS-BFS,
+// Then et al., PVLDB 2014) over batches of 64 consecutive source ids: one
+// pass over a level's frontier advances 64 sources at once. Batches are
+// independent, so the calling thread and helpers on the matcher's executor
+// (set_executor; PsiEngine hands over its pool) claim them from one
+// cursor, and the signatures are identical whoever built which batch.
 //
 // Query phase:
 //   1. candidates per query vertex by signature dominance — an embedding
@@ -75,9 +80,17 @@ class SPathMatcher : public Matcher {
 };
 
 /// Builds the distance-wise signatures for an arbitrary graph — shared by
-/// the matcher (data side), the per-query filter, and tests.
+/// the matcher (data side), the per-query filter, and tests. Per vertex:
+/// one entry per label within `radius` (clamped to kMaxRadius), ascending
+/// by label, cumulative over d = 1..kMaxRadius and flat beyond `radius`;
+/// the vertex itself is never counted. The output depends on the graph
+/// and radius only: the same under any executor, pool width, queue
+/// capacity or fault schedule. A graph of at most 64 vertices (every
+/// query) builds on the calling thread and never touches `executor`;
+/// a larger one runs on the calling thread plus helpers on `executor`
+/// (nullptr = Executor::Shared()).
 std::vector<std::vector<SPathMatcher::NsEntry>> BuildDistanceSignatures(
-    const Graph& g, uint32_t radius);
+    const Graph& g, uint32_t radius, Executor* executor = nullptr);
 
 }  // namespace psi
 

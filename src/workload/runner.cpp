@@ -1,7 +1,6 @@
 #include "workload/runner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <functional>
 #include <thread>
@@ -425,32 +424,17 @@ std::vector<FtvPairRecord> RunFtvWorkloadPsiParallel(
       &exec, planner);
   // The caller and its helpers take whole queries from one cursor; each
   // query's records go to its own slot, so the output order is the serial
-  // runner's whoever ran the query.
+  // runner's whoever ran the query, under any queue capacity.
   std::vector<std::vector<FtvPairRecord>> per_query(workload.size());
-  std::atomic<size_t> next{0};
-  auto drain = [&] {
-    for (size_t qi = next.fetch_add(1); qi < workload.size();
-         qi = next.fetch_add(1)) {
-      RunFtvQuery(run, workload[qi].graph, static_cast<uint32_t>(qi),
-                  &per_query[qi]);
-    }
-  };
-  {
-    // A helper the bounded pool rejects or sheds takes no query, and the
-    // caller's own drain runs whatever is left, so the records are the
-    // same under any queue capacity.
-    TaskGroup helpers(exec);
-    const size_t width =
-        std::min(exec.num_threads(),
-                 workload.empty() ? size_t{0} : workload.size() - 1);
-    for (size_t h = 0; h < width; ++h) {
-      helpers.Spawn([&](TaskStart start) {
-        if (start == TaskStart::kRun) drain();
-      });
-    }
-    drain();
-    helpers.Wait();
-  }
+  DrainIndices(exec, workload.size(),
+               std::min(exec.num_threads(),
+                        workload.empty() ? size_t{0} : workload.size() - 1),
+               [&] {
+                 return [&](size_t qi) {
+                   RunFtvQuery(run, workload[qi].graph,
+                               static_cast<uint32_t>(qi), &per_query[qi]);
+                 };
+               });
   std::vector<FtvPairRecord> out;
   for (auto& records : per_query) {
     out.insert(out.end(), records.begin(), records.end());

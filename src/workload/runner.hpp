@@ -161,7 +161,8 @@ std::vector<FtvPairRecord> RunFtvWorkloadPsi(
 
 /// RunFtvWorkloadPsi with whole queries spread over the calling thread
 /// and at most pool-width helper tasks on `executor` (nullptr = the
-/// shared pool), which take queries from one cursor. Each query runs
+/// shared pool), which take queries from one cursor (DrainIndices,
+/// exec/executor.hpp, the fan-out index builds use too). Each query runs
 /// RunFtvWorkloadPsi's body on the thread that took it: the serial filter,
 /// then its pairs; a pair's escalated pool race shares the same pool. A
 /// helper the bounded pool rejects or sheds leaves its queries to the

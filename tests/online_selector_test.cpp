@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace psi {
 namespace {
 
@@ -73,6 +76,61 @@ TEST(OnlineSelectorTest, SampleCapEvictsOldest) {
   s.set_max_samples(4);
   for (int i = 0; i < 10; ++i) s.Observe(PathQuery(10, 5), 0);
   EXPECT_EQ(s.sample_count(), 4u);
+
+  // Through 3 x cap observations with distinct winners, the capped
+  // selector ranks and predicts exactly like a fresh one fed only the
+  // last cap observations, at every step: the evicted samples are gone
+  // and the held ones keep their age order, which breaks ties among the
+  // equidistant samples the period-3 features repeat.
+  constexpr size_t kCap = 5;
+  constexpr size_t kObservations = 3 * kCap;
+  const auto features = [](size_t i) {
+    switch (i % 3) {
+      case 0:
+        return PathQuery(9, 10);
+      case 1:
+        return DenseQuery(6, 10);
+      default:
+        return PathQuery(12, 300);
+    }
+  };
+  std::vector<QueryFeatures> grid;
+  for (uint32_t n : {4u, 6u, 9u, 12u}) {
+    for (uint64_t freq : {1u, 10u, 300u}) {
+      grid.push_back(PathQuery(n, freq));
+      grid.push_back(DenseQuery(n, freq));
+    }
+  }
+  OnlineSelector capped(2);
+  capped.set_max_samples(kCap);
+  for (size_t t = 1; t <= kObservations; ++t) {
+    capped.Observe(features(t - 1), t - 1);
+    OnlineSelector fresh(2);
+    for (size_t i = t > kCap ? t - kCap : 0; i < t; ++i) {
+      fresh.Observe(features(i), i);
+    }
+    ASSERT_EQ(capped.sample_count(), std::min(t, kCap));
+    for (const QueryFeatures& f : grid) {
+      EXPECT_EQ(capped.Rank(f, kObservations), fresh.Rank(f, kObservations))
+          << "after " << t << " observations";
+      EXPECT_EQ(capped.Predict(f, kObservations),
+                fresh.Predict(f, kObservations))
+          << "after " << t << " observations";
+    }
+  }
+}
+
+TEST(OnlineSelectorTest, LoweringTheCapKeepsTheNewest) {
+  OnlineSelector capped(1);
+  capped.set_max_samples(4);
+  for (size_t i = 0; i < 7; ++i) capped.Observe(PathQuery(10, 5), i);
+  capped.set_max_samples(2);
+  OnlineSelector fresh(1);
+  for (size_t i = 5; i < 7; ++i) fresh.Observe(PathQuery(10, 5), i);
+  EXPECT_EQ(capped.sample_count(), 2u);
+  EXPECT_EQ(capped.Rank(PathQuery(10, 5), 7), fresh.Rank(PathQuery(10, 5), 7));
+  // The oldest held sample wins the tie among equidistant samples.
+  EXPECT_EQ(capped.Predict(PathQuery(10, 5), 7), 5u);
 }
 
 TEST(OnlineSelectorTest, NearestNeighbourWinsOverFarMajority) {

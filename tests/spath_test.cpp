@@ -2,8 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <map>
+#include <memory>
+#include <queue>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "exec/executor.hpp"
+#include "fault/failpoint.hpp"
 #include "gen/dataset_gen.hpp"
 #include "gen/query_gen.hpp"
+#include "gen/rng.hpp"
+#include "psi/engine.hpp"
 #include "tests/test_util.hpp"
 
 namespace psi {
@@ -147,6 +161,209 @@ TEST(BuildDistanceSignaturesTest, StandaloneMatchesMatcher) {
       EXPECT_EQ(sig[v][i].cum, m.signature(v)[i].cum);
     }
   }
+}
+
+// ---- Signature build vs an independent oracle -------------------------
+
+using Signatures = std::vector<std::vector<SPathMatcher::NsEntry>>;
+
+// The oracle: one plain BFS per source with a distance array, then every
+// other reached vertex counts for its label at its exact distance.
+Signatures OracleSignatures(const Graph& g, uint32_t radius) {
+  radius = std::min(radius, SPathMatcher::kMaxRadius);
+  const uint32_t n = g.num_vertices();
+  constexpr uint32_t kUnreached = static_cast<uint32_t>(-1);
+  Signatures out(n);
+  for (VertexId src = 0; src < n; ++src) {
+    std::vector<uint32_t> dist(n, kUnreached);
+    dist[src] = 0;
+    std::queue<VertexId> queue;
+    queue.push(src);
+    while (!queue.empty()) {
+      const VertexId v = queue.front();
+      queue.pop();
+      if (dist[v] == radius) continue;
+      for (VertexId w : g.neighbors(v)) {
+        if (dist[w] != kUnreached) continue;
+        dist[w] = dist[v] + 1;
+        queue.push(w);
+      }
+    }
+    std::map<LabelId, std::array<uint32_t, SPathMatcher::kMaxRadius>> at;
+    for (VertexId v = 0; v < n; ++v) {
+      if (v == src || dist[v] == kUnreached) continue;
+      ++at[g.label(v)][dist[v] - 1];  // value-initialised to zeros
+    }
+    for (const auto& [label, counts] : at) {
+      SPathMatcher::NsEntry e;
+      e.label = label;
+      uint32_t acc = 0;
+      for (uint32_t d = 0; d < SPathMatcher::kMaxRadius; ++d) {
+        acc += counts[d];
+        e.cum[d] = acc;
+      }
+      out[src].push_back(e);
+    }
+  }
+  return out;
+}
+
+void ExpectSameSignatures(const Signatures& want, const Signatures& got,
+                          const std::string& context) {
+  ASSERT_EQ(want.size(), got.size()) << context;
+  for (size_t v = 0; v < want.size(); ++v) {
+    ASSERT_EQ(want[v].size(), got[v].size()) << context << " vertex " << v;
+    for (size_t i = 0; i < want[v].size(); ++i) {
+      ASSERT_EQ(want[v][i].label, got[v][i].label)
+          << context << " vertex " << v << " entry " << i;
+      ASSERT_EQ(want[v][i].cum, got[v][i].cum)
+          << context << " vertex " << v << " label " << want[v][i].label;
+    }
+  }
+}
+
+// A random graph with isolated vertices, several components whose vertex
+// ids interleave across 64-source batches, and sparse label ids up to
+// 10^6.
+Graph RandomSignatureGraph(uint32_t n, uint64_t seed) {
+  static constexpr LabelId kLabels[] = {0, 3, 77, 4096, 999999, 1000000};
+  Rng rng(seed);
+  const auto components = static_cast<uint32_t>(rng.UniformInt(1, 4));
+  std::vector<LabelId> labels(n);
+  std::vector<uint32_t> component(n);
+  std::vector<uint8_t> isolated(n);
+  for (VertexId v = 0; v < n; ++v) {
+    labels[v] = kLabels[rng.UniformInt(0, std::size(kLabels) - 1)];
+    component[v] = static_cast<uint32_t>(rng.UniformInt(0, components - 1));
+    isolated[v] = rng.UniformReal() < 0.1 ? 1 : 0;
+  }
+  std::set<std::pair<VertexId, VertexId>> edges;
+  const uint64_t attempts = n * static_cast<uint64_t>(rng.UniformInt(1, 3));
+  for (uint64_t i = 0; n > 1 && i < attempts; ++i) {
+    auto u = static_cast<VertexId>(rng.UniformInt(0, n - 1));
+    auto v = static_cast<VertexId>(rng.UniformInt(0, n - 1));
+    if (u == v || isolated[u] || isolated[v] || component[u] != component[v]) {
+      continue;
+    }
+    edges.insert({std::min(u, v), std::max(u, v)});
+  }
+  return testing::MakeGraph(
+      labels, std::vector<std::pair<VertexId, VertexId>>(edges.begin(),
+                                                         edges.end()));
+}
+
+// The executors every comparison runs on: pool widths 1, 2 and 4, and a
+// queue of capacity 0 that rejects every helper.
+std::vector<std::pair<std::string, ExecutorOptions>> SignatureExecutors() {
+  return {{"width-1", ExecutorOptions{.num_threads = 1}},
+          {"width-2", ExecutorOptions{.num_threads = 2}},
+          {"width-4", ExecutorOptions{.num_threads = 4}},
+          {"capacity-0",
+           ExecutorOptions{.num_threads = 2, .queue_capacity = 0}}};
+}
+
+// Fault schedules that displace helpers: every one, or about half.
+const char* const kHelperFaults[] = {
+    "exec.admit=reject:1",  "exec.dequeue=shed:1",  "exec.run=throw:1",
+    "exec.admit=reject:0.5", "exec.dequeue=shed:0.5", "exec.run=throw:0.5"};
+
+// Compares the build with the oracle on every executor and, when faults
+// are compiled in, under every helper fault schedule.
+void ExpectOracleSignatures(const Graph& g, uint32_t radius,
+                            const std::string& name) {
+  const Signatures want = OracleSignatures(g, radius);
+  const std::string context = name + " radius " + std::to_string(radius);
+  ExpectSameSignatures(want, BuildDistanceSignatures(g, radius),
+                       context + " shared pool");
+  for (const auto& [label, options] : SignatureExecutors()) {
+    Executor exec(options);
+    ExpectSameSignatures(want, BuildDistanceSignatures(g, radius, &exec),
+                         context + " " + label);
+  }
+  if (!FaultsCompiledIn()) return;
+  Executor exec(ExecutorOptions{.num_threads = 2});
+  for (const char* schedule : kHelperFaults) {
+    FaultInjector inject(schedule, 41);
+    ExpectSameSignatures(want, BuildDistanceSignatures(g, radius, &exec),
+                         context + " " + schedule);
+  }
+}
+
+TEST(BuildDistanceSignaturesTest, MatchesOracleOnRandomGraphs) {
+  // Sizes straddle the 64-source batch edges; radius 5 clamps to 4.
+  for (uint32_t n : {1u, 2u, 63u, 64u, 65u, 128u, 129u, 300u}) {
+    for (uint32_t radius = 0; radius <= 5; ++radius) {
+      const Graph g = RandomSignatureGraph(n, 1000 * n + radius);
+      ExpectOracleSignatures(g, radius, "random n=" + std::to_string(n));
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(BuildDistanceSignaturesTest, MatchesOracleOnWordnetHubs) {
+  // Hubs give large balls: many sources of one batch share frontier
+  // vertices at every level.
+  const Graph g = gen::WordnetLike(16, 3);
+  for (uint32_t radius : {1u, 4u}) {
+    ExpectOracleSignatures(g, radius, "wordnet(16, 3)");
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(BuildDistanceSignaturesTest, SmallGraphsSubmitNoTask) {
+  // A graph of at most 64 vertices, which covers every query, is one
+  // batch on the calling thread.
+  Executor exec(ExecutorOptions{.num_threads = 2});
+  const uint64_t before = exec.gauges().tasks_submitted;
+  for (uint32_t n : {1u, 2u, 63u, 64u}) {
+    BuildDistanceSignatures(RandomSignatureGraph(n, n), 4, &exec);
+  }
+  EXPECT_EQ(exec.gauges().tasks_submitted, before);
+  // One vertex more is two batches: the build fans out.
+  BuildDistanceSignatures(RandomSignatureGraph(65, 65), 4, &exec);
+  EXPECT_GT(exec.gauges().tasks_submitted, before);
+}
+
+TEST(BuildDistanceSignaturesTest, QuerySideBuildsSubmitNoTask) {
+  // The matcher builds its data signatures on the injected pool; every
+  // Match() then builds the query's signatures inline.
+  Executor exec(ExecutorOptions{.num_threads = 2});
+  const Graph g = gen::YeastLike(8, 2);
+  SPathMatcher m;
+  m.set_executor(&exec);
+  const uint64_t before_prepare = exec.gauges().tasks_submitted;
+  ASSERT_TRUE(m.Prepare(g).ok());
+  EXPECT_GT(exec.gauges().tasks_submitted, before_prepare);
+  ExpectSameSignatures(OracleSignatures(g, 4),
+                       [&] {
+                         Signatures sig(g.num_vertices());
+                         for (VertexId v = 0; v < g.num_vertices(); ++v) {
+                           sig[v] = m.signature(v);
+                         }
+                         return sig;
+                       }(),
+                       "prepared matcher");
+  auto w = gen::GenerateWorkload(g, 6, 6, 77);
+  ASSERT_TRUE(w.ok());
+  const uint64_t before_match = exec.gauges().tasks_submitted;
+  MatchOptions all;
+  all.max_embeddings = UINT64_MAX;
+  for (const auto& query : *w) m.Match(query.graph, all);
+  EXPECT_EQ(exec.gauges().tasks_submitted, before_match);
+}
+
+TEST(BuildDistanceSignaturesTest, EnginePreparesOnItsOwnPool) {
+  // PsiEngine::Prepare hands its executor to every matcher, so sPath's
+  // data-side build fans out on the engine's pool.
+  Executor exec(ExecutorOptions{.num_threads = 2});
+  PsiEngineOptions options;
+  options.executor = &exec;
+  PsiEngine engine(options);
+  engine.AddMatcher(std::make_unique<SPathMatcher>());
+  const Graph g = gen::YeastLike(8, 2);
+  const uint64_t before = exec.gauges().tasks_submitted;
+  ASSERT_TRUE(engine.Prepare(g).ok());
+  EXPECT_GT(exec.gauges().tasks_submitted, before);
 }
 
 }  // namespace
