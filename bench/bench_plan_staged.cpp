@@ -9,10 +9,12 @@
 //     numbers are the idealized per-variant times the paper's speedup*
 //     analyses use and hold on a 1-core container.
 //
-//  2. *Rewrite cache*: on a multi-candidate FTV workload, per-pair
-//     verification races fetch their rewritten instances from a shared
-//     RewriteCache, so each query is rewritten once — not once per
-//     surviving candidate graph. Reported as the cache hit rate.
+//  2. *Rewrite cache*: on a multi-candidate FTV workload, each query
+//     with a surviving candidate fetches its rewritten instances from a
+//     shared RewriteCache once, and every (query, graph) verification
+//     race shares them — one lookup and at most one rewrite per query and
+//     rewriting, not one per surviving candidate graph. Reported as the
+//     cache lookups against the pairs they serve.
 //
 // `--json out.json` archives every metric (see bench_util.hpp JsonOut).
 
@@ -156,8 +158,8 @@ void StagedRacingSection(JsonOut& json) {
 
 void RewriteCacheSection(JsonOut& json) {
   // A multi-candidate FTV workload: few labels and small queries keep
-  // the filter's survivor sets large, which is exactly the regime the
-  // cache targets (one rewrite per query vs one per surviving pair).
+  // the filter's survivor sets large, which is exactly the regime where
+  // one rewrite per query beats one per surviving pair.
   gen::GraphGenLikeOptions go;
   go.num_graphs = 80;
   go.avg_nodes = 60;
@@ -201,8 +203,8 @@ void RewriteCacheSection(JsonOut& json) {
   json.Metric("rewrite_cache_hits", static_cast<double>(cs.hits));
   json.Metric("rewrite_cache_hit_rate", cs.hit_rate());
 
-  Shape(cs.hit_rate() > 0.9,
-        "rewrite-cache hit rate > 90% on a multi-candidate FTV workload");
+  Shape(cs.lookups() <= workload.size() * std::size(rewritings),
+        "one rewrite lookup per FTV query and rewriting, not per pair");
   Shape(pairs / std::max(1.0, static_cast<double>(workload.size())) >= 5.0,
         "workload is genuinely multi-candidate (>= 5 pairs/query)");
 }

@@ -41,24 +41,27 @@ class GqlSearch : public CandidateListSearch<GqlSearch> {
         options_(options) {}
 
   bool Prepare() {
-    // Stage 1: label + signature (multiset) containment. Multiset
-    // containment implies NLF fingerprint containment, so the prefilter
-    // ahead of the O(d) walk only skips work.
+    // Stage 1: every list, by label and signature (multiset) containment.
     const uint32_t nq = q_.num_vertices();
-    std::vector<std::vector<LabelId>> qsig(nq);
+    qsig_.assign(nq, {});
     for (VertexId u = 0; u < nq; ++u) {
-      for (VertexId w : q_.neighbors(u)) qsig[u].push_back(q_.label(w));
-      std::sort(qsig[u].begin(), qsig[u].end());
-    }
-    if (!BuildCandidates([&](VertexId u, VertexId v) {
-          return MultisetContained(qsig[u], signatures_[v]);
-        })) {
-      return false;
+      for (VertexId w : q_.neighbors(u)) qsig_[u].push_back(q_.label(w));
+      std::sort(qsig_[u].begin(), qsig_[u].end());
+      if (!BuildList(u)) return false;
     }
     if (!Refine() || guard_.interrupted()) return false;
     BuildOrder();
     return true;
   }
+
+  // Multiset containment implies NLF fingerprint containment, so the
+  // prefilter ahead of the O(d) walk only skips work.
+  bool Keep(VertexId u, VertexId v) const {
+    return MultisetContained(qsig_[u], signatures_[v]);
+  }
+
+  // Every list is complete once refined, so the join reads the stamp.
+  bool Candidate(VertexId u, VertexId v) const { return CandBit(u, v); }
 
  private:
   // Bipartite semi-perfect matching test for candidate pair (u, v):
@@ -155,6 +158,7 @@ class GqlSearch : public CandidateListSearch<GqlSearch> {
 
   const std::vector<std::vector<LabelId>>& signatures_;
   const GraphQlOptions& options_;
+  std::vector<std::vector<LabelId>> qsig_;  // sorted neighbour labels
 };
 
 }  // namespace

@@ -6,9 +6,10 @@
 // bitmap (plus order and Kuhn buffers) on *every* Match() call — pure
 // churn in the FTV/NFV serving paths, where one prepared matcher answers
 // thousands of calls. This scratch keeps those buffers alive per thread
-// and replaces the zero-fills with epoch stamps: a cell is "set" iff it
-// carries the current call's epoch, so starting a call costs one counter
-// increment instead of an O(|V| * nq) clear.
+// and replaces the zero-fills with epoch stamps: each call owns two stamp
+// values, `epoch` (candidate) and `epoch + 1` (checked and rejected), and
+// any other value means "not checked yet", so starting a call costs one
+// counter increment instead of an O(|V| * nq) clear.
 //
 // Thread-compatibility with the Matcher contract (concurrent const
 // Match() calls): every call leases the calling thread's scratch through
@@ -33,13 +34,14 @@
 namespace psi {
 
 struct CandidateScratch {
-  /// Epoch of the call currently using the scratch; a stamp cell is set
-  /// iff it equals this value. 0 is never a valid epoch, so fresh
-  /// (zero-resized) cells are always "unset".
+  /// Epoch of the call currently using the scratch. A stamp cell equal to
+  /// `epoch` marks a candidate, one equal to `epoch + 1` a pair checked
+  /// and rejected; any other value is unchecked. Epochs are even and never
+  /// 0, so fresh (zero-resized) cells are always unchecked.
   uint32_t epoch = 0;
   bool in_use = false;
 
-  std::vector<uint32_t> cand_stamp;  ///< nq * |V| candidate-bit stamps
+  std::vector<uint32_t> cand_stamp;  ///< nq * |V| candidate verdicts
   std::vector<std::vector<VertexId>> cand_list;
   std::vector<VertexId> order;  ///< static matching order
   // Kuhn-matching buffers (degree-sized).
@@ -51,15 +53,16 @@ struct CandidateScratch {
   size_t last_cells = 0;
 
   /// Opens a new call over an nq-vertex query against an nv-vertex data
-  /// graph: bumps the epoch (invalidating every previous stamp in O(1))
-  /// and grows the stamp buffers as needed. Handles epoch wrap-around by
-  /// clearing once every ~4G calls.
+  /// graph: advances the epoch by 2 (invalidating both stamp values of
+  /// every previous call in O(1)) and grows the stamp buffers as needed.
+  /// Handles wrap-around by clearing once every ~2G calls, before
+  /// `epoch + 1` could overflow.
   void BeginCall(uint32_t nq, uint32_t nv) {
-    if (epoch == std::numeric_limits<uint32_t>::max()) {
+    if (epoch >= std::numeric_limits<uint32_t>::max() - 2) {
       std::fill(cand_stamp.begin(), cand_stamp.end(), 0u);
       epoch = 0;
     }
-    ++epoch;
+    epoch += 2;
     const size_t cells = static_cast<size_t>(nq) * nv;
     last_cells = cells;
     if (cand_stamp.size() < cells) cand_stamp.resize(cells, 0u);
@@ -125,12 +128,29 @@ class ScratchLease {
   std::unique_ptr<CandidateScratch> owned_;
 };
 
-/// The candidate-list layer GraphQL and sPath share: per-query-vertex
-/// candidate lists (label, degree, NLF, then the matcher's own signature
-/// test), a static matching order in `scr_.order` that the matcher's
-/// Prepare builds, and the join that enumerates them — anchored on the
-/// placed neighbour whose image offers the smallest source, every
-/// candidate checked against its list bit and its backward edges.
+/// The candidate-list layer GraphQL and sPath share: one candidate
+/// predicate (label, degree, NLF, then the matcher's own signature test),
+/// candidate lists for the query vertices whose source needs one, a
+/// static matching order in `scr_.order` that the matcher's Prepare
+/// builds, and the join that enumerates them — anchored on the placed
+/// neighbour whose image offers the smallest source, every candidate
+/// checked against the predicate and its backward edges.
+///
+/// Besides Prepare, the derived class supplies
+///
+///   bool Keep(VertexId u, VertexId v);
+///       The matcher's signature test for a pair that passed label, degree
+///       and NLF. It must imply NLF fingerprint containment, so the
+///       prefilter only skips work and never changes a verdict.
+///   bool Candidate(VertexId u, VertexId v);
+///       Admit's verdict for a candidate of the join: CandBit when every
+///       list the join can reach is complete, IsCandidate when pairs are
+///       left to be decided on demand.
+///
+/// GraphQL builds every list (its refinement and join order read them)
+/// and reads the stamps. sPath builds only the lists of the vertices the
+/// join enters without an anchor, and decides every other pair the first
+/// time Admit meets it, memoized in the pair's stamp.
 template <typename Derived>
 class CandidateListSearch : public BacktrackSearch<Derived> {
  public:
@@ -143,7 +163,9 @@ class CandidateListSearch : public BacktrackSearch<Derived> {
   bool Admit(uint32_t /*depth*/, VertexId u, VertexId v, size_t /*i*/,
              bool mw) {
     ++this->stats_.candidates_tried;
-    if (this->used_[v] || !CandBit(u, v)) return false;
+    if (this->used_[v] || !static_cast<Derived&>(*this).Candidate(u, v)) {
+      return false;
+    }
     // The intersection settles the backward edges for a multiway
     // survivor; the anchored source still checks each one.
     return mw || this->BackEdgesHold(u, v);
@@ -159,49 +181,83 @@ class CandidateListSearch : public BacktrackSearch<Derived> {
     scr_.BeginCall(q.num_vertices(), nv_);
   }
 
-  /// Fills every query vertex's candidate list: label, degree, the NLF
-  /// prefilter, then `keep(u, v)` — the matcher's signature test, which
-  /// implies fingerprint containment, so the prefilter only skips work and
-  /// never changes a list. Returns false if some list ends up empty or the
-  /// guard trips.
-  template <typename Keep>
-  bool BuildCandidates(const Keep& keep) {
-    const Graph& q = this->q_;
-    const Graph& g = this->g_;
-    for (VertexId u = 0; u < q.num_vertices(); ++u) {
-      for (VertexId v : g.VerticesWithLabel(q.label(u))) {
-        if (this->guard_.Check() != Interrupt::kNone) return false;
-        if (g.degree(v) < q.degree(u)) continue;
-        if (this->index_ != nullptr &&
-            !this->index_->NlfAdmits(this->qnlf_[u], q.degree(u), v)) {
-          // Every split range repeats this shared build stage; the
-          // primary range alone counts it (exact stats folding).
-          if (this->opts_.primary_range()) ++this->stats_.nlf_rejects;
-          continue;
-        }
-        if (!keep(u, v)) continue;
+  /// Fills `u`'s candidate list with every same-label data vertex that
+  /// passes the predicate and stamps each one a candidate; a rejected pair
+  /// stays unstamped. Returns false if the list ends up empty or the guard
+  /// trips.
+  bool BuildList(VertexId u) {
+    for (VertexId v : this->g_.VerticesWithLabel(this->q_.label(u))) {
+      if (this->guard_.Check() != Interrupt::kNone) return false;
+      if (Passes(u, v, /*count=*/true)) {
         scr_.cand_list[u].push_back(v);
-        SetCand(u, v);
+        Stamp(u, v, true);
       }
-      if (scr_.cand_list[u].empty()) return false;
     }
-    return true;
+    return !scr_.cand_list[u].empty();
   }
 
-  // Epoch-stamped candidate bits: set iff the cell carries this call's
-  // epoch.
-  bool CandBit(VertexId u, VertexId v) const {
-    return scr_.cand_stamp[static_cast<size_t>(u) * nv_ + v] == scr_.epoch;
+  /// Scans `u`'s label up to the first data vertex that passes the
+  /// predicate, so a vertex nothing can take ends the search before it
+  /// starts, as an empty list does. Returns false if there is none or the
+  /// guard trips.
+  bool ProbeCandidate(VertexId u) {
+    for (VertexId v : this->g_.VerticesWithLabel(this->q_.label(u))) {
+      if (this->guard_.Check() != Interrupt::kNone) return false;
+      const bool pass = Passes(u, v, /*count=*/true);
+      Stamp(u, v, pass);
+      if (pass) return true;
+    }
+    return false;
   }
-  void SetCand(VertexId u, VertexId v) {
-    scr_.cand_stamp[static_cast<size_t>(u) * nv_ + v] = scr_.epoch;
+
+  /// The memoized predicate: the stamped verdict, or one decided and
+  /// stamped now. An on-demand verdict counts no NLF reject, so the
+  /// counters do not depend on which pairs the join reaches (split or
+  /// multiway on or off).
+  bool IsCandidate(VertexId u, VertexId v) {
+    const uint32_t stamp = scr_.cand_stamp[Cell(u, v)];
+    if (stamp == scr_.epoch) return true;
+    if (stamp == scr_.epoch + 1) return false;
+    const bool pass = this->q_.label(u) == this->g_.label(v) &&
+                      Passes(u, v, /*count=*/false);
+    Stamp(u, v, pass);
+    return pass;
+  }
+
+  /// The stamped verdict alone: true iff (u, v) was decided a candidate.
+  bool CandBit(VertexId u, VertexId v) const {
+    return scr_.cand_stamp[Cell(u, v)] == scr_.epoch;
   }
   void ClearCand(VertexId u, VertexId v) {
-    scr_.cand_stamp[static_cast<size_t>(u) * nv_ + v] = 0;
+    scr_.cand_stamp[Cell(u, v)] = scr_.epoch + 1;
   }
 
   CandidateScratch& scr_;
   const uint32_t nv_;
+
+ private:
+  size_t Cell(VertexId u, VertexId v) const {
+    return static_cast<size_t>(u) * nv_ + v;
+  }
+
+  void Stamp(VertexId u, VertexId v, bool candidate) {
+    scr_.cand_stamp[Cell(u, v)] = candidate ? scr_.epoch : scr_.epoch + 1;
+  }
+
+  /// The predicate for a same-label pair: degree, the NLF prefilter, then
+  /// Derived::Keep. With `count`, an NLF reject is counted by the primary
+  /// split range alone: every range repeats Prepare's scans (exact stats
+  /// folding).
+  bool Passes(VertexId u, VertexId v, bool count) {
+    const Graph& q = this->q_;
+    if (this->g_.degree(v) < q.degree(u)) return false;
+    if (this->index_ != nullptr &&
+        !this->index_->NlfAdmits(this->qnlf_[u], q.degree(u), v)) {
+      if (count && this->opts_.primary_range()) ++this->stats_.nlf_rejects;
+      return false;
+    }
+    return static_cast<Derived&>(*this).Keep(u, v);
+  }
 };
 
 }  // namespace psi

@@ -147,7 +147,8 @@ class PsiEngine {
   const LabelStats& stats() const { return stats_; }
   const QueryPlanner& planner() const { return planner_; }
   size_t observed_races() const { return planner_.sample_count(); }
-  /// Hit/miss counters of the per-engine rewrite memoization.
+  /// Hit, miss and eviction counters of the per-engine rewrite
+  /// memoization.
   RewriteCache::Stats rewrite_cache_stats() const {
     return rewrite_cache_.stats();
   }

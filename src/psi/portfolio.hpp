@@ -51,10 +51,10 @@ std::string EntryName(const PortfolioEntry& entry);
 /// Races all portfolio entries on `query` — the classic full race,
 /// executed as the trivial one-stage plan (plan/plan.hpp). `stats`
 /// supplies the stored graph's label frequencies for the ILF family.
-/// Rewriting costs are a few tens of microseconds (measured in
-/// bench_ablation_overhead) and are included in each variant's budget,
-/// faithfully to the paper which found them negligible; pass a
-/// `rewrite_cache` to memoize them across calls (rewrite_cache.hpp).
+/// Rewriting costs a few microseconds per rewriting and is included in
+/// each variant's budget, faithfully to the paper which found it
+/// negligible; pass a `rewrite_cache` to memoize it across calls
+/// (rewrite_cache.hpp).
 RaceResult RunPortfolio(const Portfolio& portfolio, const Graph& query,
                         const LabelStats& stats, const RaceOptions& options,
                         RewriteCache* rewrite_cache = nullptr);

@@ -1,5 +1,7 @@
 #include "rewrite/rewrite_cache.hpp"
 
+#include <utility>
+
 #include "core/fnv.hpp"
 #include "fault/failpoint.hpp"
 
@@ -56,13 +58,14 @@ std::shared_ptr<const RewrittenQuery> RewriteCache::GetWithFingerprint(
   // recompute installs (or re-finds) the identical entry.
   const bool forced_miss =
       PSI_FAULT_POINT("rewrite.lookup") == FaultKind::kMiss;
+  // A dropped generation is destroyed here, after the lock is released:
+  // freeing 2,048 rewritten graphs must not stall other lookups.
+  Map evicted;
   if (!forced_miss) {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(key);
-    if (it != map_.end() && it->second.num_vertices == query.num_vertices() &&
-        it->second.num_edges == query.num_edges()) {
+    if (auto hit = FindLocked(key, query, &evicted)) {
       ++hits_;
-      return it->second.rewritten;
+      return hit;
     }
   }
   // Compute outside the lock: rewriting is pure, and a duplicate compute
@@ -81,20 +84,45 @@ std::shared_ptr<const RewrittenQuery> RewriteCache::GetWithFingerprint(
   }
   std::lock_guard<std::mutex> lock(mutex_);
   ++misses_;
-  Entry& e = map_[key];
-  if (e.rewritten == nullptr || e.num_vertices != query.num_vertices() ||
-      e.num_edges != query.num_edges()) {
-    // Empty slot, or a fingerprint-colliding entry for a *different*
-    // query (caught by the dims guard): install our freshly computed
-    // rewrite so the colliding queries thrash instead of one of them
-    // racing the other's graph.
-    e.rewritten = rewritten;
-    e.num_vertices = query.num_vertices();
-    e.num_edges = query.num_edges();
+  // A concurrent thread's entry that passed the dims guard (same key,
+  // same dims: our query) wins, so every caller shares one instance.
+  if (auto found = FindLocked(key, query, &evicted)) return found;
+  // Empty slot, or a fingerprint-colliding entry for a *different* query
+  // (caught by the dims guard): install our freshly computed rewrite so
+  // the colliding queries thrash instead of one of them racing the
+  // other's graph.
+  InsertLocked(key, Entry{rewritten, query.num_vertices(), query.num_edges()},
+               &evicted);
+  return rewritten;
+}
+
+std::shared_ptr<const RewrittenQuery> RewriteCache::FindLocked(
+    const Key& key, const Graph& query, Map* evicted) {
+  auto fits = [&](const Entry& e) {
+    return e.num_vertices == query.num_vertices() &&
+           e.num_edges == query.num_edges();
+  };
+  if (auto it = young_.find(key); it != young_.end()) {
+    return fits(it->second) ? it->second.rewritten : nullptr;
   }
-  // e.rewritten is now either our compute or a concurrent thread's entry
-  // that passed the dims guard (same key, same dims: our query).
-  return e.rewritten;
+  // An old entry moves back to the young generation; a colliding one is
+  // dropped here.
+  auto it = old_.find(key);
+  if (it == old_.end()) return nullptr;
+  Entry e = std::move(it->second);
+  old_.erase(it);
+  if (!fits(e)) return nullptr;
+  auto rewritten = e.rewritten;
+  InsertLocked(key, std::move(e), evicted);
+  return rewritten;
+}
+
+void RewriteCache::InsertLocked(const Key& key, Entry entry, Map* evicted) {
+  if (!young_.contains(key) && young_.size() >= kCapacity / 2) {
+    evictions_ += old_.size();
+    *evicted = std::exchange(old_, std::exchange(young_, Map()));
+  }
+  young_.insert_or_assign(key, std::move(entry));
 }
 
 std::vector<std::shared_ptr<const RewrittenQuery>> RewriteCache::GetInstances(
@@ -114,17 +142,19 @@ RewriteCache::Stats RewriteCache::stats() const {
   Stats s;
   s.hits = hits_;
   s.misses = misses_;
+  s.evictions = evictions_;
   return s;
 }
 
 size_t RewriteCache::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return map_.size();
+  return young_.size() + old_.size();
 }
 
 void RewriteCache::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  map_.clear();
+  young_.clear();
+  old_.clear();
 }
 
 }  // namespace psi

@@ -1,10 +1,10 @@
 // Memoized query rewriting.
 //
-// Rewriting is cheap (tens of microseconds, bench_ablation_overhead) but
-// it is pure, and the serving/FTV paths ask for the same rewriting of the
-// same query many times: every surviving candidate graph of an FTV query
-// races the same rewritten instances, and a served query stream repeats
-// popular queries. RewriteCache memoizes RewriteQuery keyed by
+// Rewriting is cheap (a few microseconds per rewriting of a 4- to 12-edge
+// query) but pure, and the same rewriting is asked for repeatedly: the
+// engine's variants share the rewritings of one query, and a served
+// stream repeats popular queries. RewriteCache memoizes RewriteQuery
+// keyed by
 //
 //   (query fingerprint, rewriting, stats identity, random seed)
 //
@@ -15,8 +15,17 @@
 // crosses stats identities: an ILF entry computed against one stored
 // graph is invisible to lookups against another.
 //
+// The cache holds at most kCapacity entries, in two generations of
+// kCapacity / 2: a miss inserts into the young map; when the young map is
+// full, the old map is dropped (its entries count as evictions) and the
+// young one becomes the old one; a hit in the old map moves the entry
+// back to the young one. An entry looked up at least once per
+// kCapacity / 2 insertions therefore stays, and a stream of distinct
+// queries holds bounded memory however long it runs.
+//
 // Thread-safe; entries are returned as shared_ptr so they stay valid
-// across Clear() and cache destruction while a race still uses them.
+// across eviction, Clear() and cache destruction while a race still uses
+// them.
 
 #ifndef PSI_REWRITE_REWRITE_CACHE_HPP_
 #define PSI_REWRITE_REWRITE_CACHE_HPP_
@@ -43,9 +52,13 @@ uint64_t QueryFingerprint(const Graph& query);
 
 class RewriteCache {
  public:
+  /// The most entries the cache holds at once.
+  static constexpr size_t kCapacity = 4096;
+
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
+    uint64_t evictions = 0;  ///< entries dropped with an old generation
     uint64_t lookups() const { return hits + misses; }
     double hit_rate() const {
       return lookups() == 0
@@ -104,14 +117,28 @@ class RewriteCache {
     uint64_t num_edges = 0;
   };
 
+  using Map = std::unordered_map<Key, Entry, KeyHash>;
+
   std::shared_ptr<const RewrittenQuery> GetWithFingerprint(
       uint64_t query_fp, const Graph& query, Rewriting r,
       const LabelStats& stats, uint64_t random_seed);
+  // Under mutex_: the entry for `key` if it holds `query`'s dims, moved to
+  // the young generation when found in the old one; nullptr otherwise.
+  std::shared_ptr<const RewrittenQuery> FindLocked(const Key& key,
+                                                   const Graph& query,
+                                                   Map* evicted);
+  // Under mutex_: puts the entry in the young generation, replacing a
+  // young entry of the same key, after rotating the generations if a new
+  // key finds it full. A rotation hands the dropped generation to
+  // `*evicted`, which the caller destroys after releasing the lock.
+  void InsertLocked(const Key& key, Entry entry, Map* evicted);
 
   mutable std::mutex mutex_;
-  std::unordered_map<Key, Entry, KeyHash> map_;  // guarded by mutex_
-  uint64_t hits_ = 0;                            // guarded by mutex_
-  uint64_t misses_ = 0;                          // guarded by mutex_
+  Map young_;              // guarded by mutex_
+  Map old_;                // guarded by mutex_
+  uint64_t hits_ = 0;       // guarded by mutex_
+  uint64_t misses_ = 0;     // guarded by mutex_
+  uint64_t evictions_ = 0;  // guarded by mutex_
 };
 
 }  // namespace psi

@@ -211,11 +211,15 @@ bool SignatureDominates(const std::vector<NsEntry>& query_sig,
   return true;
 }
 
-// Candidate lists by signature dominance plus the path-cover order; the
-// shared candidate-list layer (match/scratch.hpp) runs the join. Like
-// GraphQL, the O(|V| * nq) candidate bits live in the leased
-// epoch-stamped CandidateScratch instead of being allocated and
-// zero-filled per call.
+// Signature dominance plus the path-cover order; the shared
+// candidate-list layer (match/scratch.hpp) runs the join. The order does
+// not read candidates, so it comes first. Only a vertex with no neighbour
+// earlier in it is entered without an anchor and needs a full list: the
+// first vertex of each component, and the start of a cover path placed
+// before any of its neighbours. Every other vertex's candidates are an
+// anchor's neighbours, checked on demand in Admit and memoized in the
+// leased epoch-stamped CandidateScratch, so a query no longer scans every
+// same-label data vertex for every query vertex.
 class SpaSearch : public CandidateListSearch<SpaSearch> {
  public:
   SpaSearch(const Graph& q, const Graph& g,
@@ -228,18 +232,28 @@ class SpaSearch : public CandidateListSearch<SpaSearch> {
         options_(options),
         matcher_(matcher) {}
 
-  // Dominance at distance 1 implies NLF fingerprint containment, so the
-  // prefilter ahead of the O(labels * radius) walk only skips work.
   bool Prepare() {
-    const auto query_sig = BuildDistanceSignatures(q_, options_.radius);
-    if (!BuildCandidates([&](VertexId u, VertexId v) {
-          return SignatureDominates(query_sig[u], data_sig_[v]);
-        })) {
-      return false;
-    }
     BuildOrder();
+    query_sig_ = BuildDistanceSignatures(q_, options_.radius);
+    std::vector<uint8_t> placed(q_.num_vertices(), 0);
+    for (VertexId u : scr_.order) {
+      bool anchored = false;
+      for (VertexId w : q_.neighbors(u)) anchored = anchored || placed[w];
+      placed[u] = 1;
+      if (!(anchored ? ProbeCandidate(u) : BuildList(u))) return false;
+    }
     return true;
   }
+
+  // Dominance at distance 1 implies NLF fingerprint containment, so the
+  // prefilter ahead of the O(labels * radius) walk only skips work.
+  bool Keep(VertexId u, VertexId v) const {
+    return SignatureDominates(query_sig_[u], data_sig_[v]);
+  }
+
+  // A pair outside the lists is decided the first time the join reaches
+  // it.
+  bool Candidate(VertexId u, VertexId v) { return IsCandidate(u, v); }
 
  private:
   // Flattens the greedy path cover into a vertex visit order.
@@ -263,6 +277,7 @@ class SpaSearch : public CandidateListSearch<SpaSearch> {
   const std::vector<std::vector<NsEntry>>& data_sig_;
   const SPathOptions& options_;
   const SPathMatcher& matcher_;
+  std::vector<std::vector<NsEntry>> query_sig_;
 };
 
 }  // namespace

@@ -311,9 +311,9 @@ struct FtvRun {
   const GrapesIndex& index;
   std::span<const Rewriting> rewritings;
   const LabelStats& stats;
-  /// Rewritten instances: the first pair of a query computes them, every
-  /// later pair of the same query reuses them (and the stats-independent
-  /// ones are shared across stats identities).
+  /// Rewritten instances, fetched once per query that has a candidate and
+  /// shared by all its pairs (the stats-independent ones are shared
+  /// across stats identities too).
   RewriteCache& cache;
   const RunnerOptions& options;
   RaceMode mode;
@@ -337,13 +337,14 @@ FtvRun MakeFtvRun(const GrapesIndex& index,
                 FtvPairPlan(rewritings.size(), options, mode)};
 }
 
-/// Races one (query, candidate) verification under `plan` and fills the
-/// record fields common to both Ψ FTV runners.
-FtvPairRecord RaceFtvPair(const FtvRun& run, const Graph& query,
+using Instances = std::vector<std::shared_ptr<const RewrittenQuery>>;
+
+/// Races one (query, candidate) verification of the query's rewritten
+/// `instances` under `plan` and fills the record fields common to both Ψ
+/// FTV runners.
+FtvPairRecord RaceFtvPair(const FtvRun& run, const Instances& instances,
                           const GrapesCandidate& cand, uint32_t query_index,
                           const QueryPlan& plan) {
-  const auto instances =
-      run.cache.GetInstances(query, run.rewritings, run.stats);
   std::vector<RaceVariant> universe;
   universe.reserve(instances.size());
   for (size_t i = 0; i < instances.size(); ++i) {
@@ -381,14 +382,19 @@ FtvPairRecord RaceFtvPair(const FtvRun& run, const Graph& query,
 }
 
 /// One query of both Ψ FTV runners, all on the calling thread: plan it,
-/// filter it, then race its candidates in ascending graph id.
+/// filter it, fetch its rewritten instances once if a candidate survives,
+/// then race its candidates in ascending graph id.
 void RunFtvQuery(const FtvRun& run, const Graph& query, uint32_t query_index,
                  std::vector<FtvPairRecord>* out) {
   QueryPlan planned;
   if (run.planner != nullptr) planned = run.planner->Plan(query);
   const QueryPlan& plan = run.planner != nullptr ? planned : run.pair_plan;
-  for (const GrapesCandidate& cand : run.index.Filter(query)) {
-    out->push_back(RaceFtvPair(run, query, cand, query_index, plan));
+  const std::vector<GrapesCandidate> candidates = run.index.Filter(query);
+  if (candidates.empty()) return;
+  const Instances instances =
+      run.cache.GetInstances(query, run.rewritings, run.stats);
+  for (const GrapesCandidate& cand : candidates) {
+    out->push_back(RaceFtvPair(run, instances, cand, query_index, plan));
   }
 }
 

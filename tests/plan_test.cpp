@@ -1,8 +1,8 @@
 // The query-planning layer (src/plan/): QueryPlan execution, staged
 // escalation, per-variant budgets, the QueryPlanner policy, the
-// RewriteCache keying rules — and the layer's load-bearing contract,
-// held differentially across randomized seeds (PSI_TEST_SEEDS, default
-// 100; CI's TSan job runs fewer):
+// RewriteCache keying rules and bound — and the layer's load-bearing
+// contract, held differentially across randomized seeds (PSI_TEST_SEEDS,
+// default 100; CI's TSan job runs fewer):
 //
 //   staging and caching never change answers. The plan pipeline
 //   (staged plans + rewrite cache, NFV engine path and Grapes/GGSX FTV
@@ -264,6 +264,102 @@ TEST(RewriteCacheTest, DistinctQueriesGetDistinctEntries) {
                            Rewriting::kDnd, stats);
   EXPECT_NE(a.get(), b.get());
   EXPECT_EQ(cache.stats().misses, 2u);
+}
+
+// The i-th of a family of pairwise distinct queries.
+Graph DistinctQuery(uint32_t i) {
+  return testing::MakePath({i, i / 3, 7});
+}
+
+TEST(RewriteCacheTest, DistinctQueryStreamStaysWithinCapacity) {
+  const LabelStats stats =
+      LabelStats::FromGraph(testing::MakeClique({0, 1, 2}));
+  RewriteCache cache;
+  constexpr uint32_t kQueries = 3 * RewriteCache::kCapacity;
+  for (uint32_t i = 0; i < kQueries; ++i) {
+    cache.Get(DistinctQuery(i), Rewriting::kDnd, stats);
+    ASSERT_LE(cache.size(), RewriteCache::kCapacity) << "i=" << i;
+  }
+  const RewriteCache::Stats s = cache.stats();
+  EXPECT_EQ(s.misses, kQueries);
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_GT(s.evictions, 0u);
+  // Every entry is either still held or was counted out.
+  EXPECT_EQ(s.evictions + cache.size(), kQueries);
+}
+
+TEST(RewriteCacheTest, RefetchWithinCapacityHits) {
+  const LabelStats stats =
+      LabelStats::FromGraph(testing::MakeClique({0, 1, 2}));
+  RewriteCache cache;
+  const Graph hot = DistinctQuery(0);
+  const auto first = cache.Get(hot, Rewriting::kDnd, stats);
+  // The hot query comes back once per half a capacity of new queries.
+  // From the second round on its generation has turned old by then: the
+  // lookup hits and moves it back to the young generation, so it outlives
+  // every rotation.
+  uint32_t next = 1;
+  for (int round = 0; round < 6; ++round) {
+    for (size_t k = 0; k + 1 < RewriteCache::kCapacity / 2; ++k) {
+      cache.Get(DistinctQuery(next++), Rewriting::kDnd, stats);
+    }
+    const uint64_t hits = cache.stats().hits;
+    EXPECT_EQ(cache.Get(hot, Rewriting::kDnd, stats).get(), first.get())
+        << "round " << round;
+    EXPECT_EQ(cache.stats().hits, hits + 1) << "round " << round;
+  }
+  EXPECT_GT(cache.stats().evictions, 0u);
+}
+
+TEST(RewriteCacheTest, EntryHeldAcrossItsEvictionStaysValid) {
+  const LabelStats stats =
+      LabelStats::FromGraph(testing::MakeClique({0, 1, 2}));
+  RewriteCache cache;
+  const Graph q = testing::MakeStar({0, 1, 2, 1});
+  const auto held = cache.Get(q, Rewriting::kDnd, stats);
+  const Graph copy = held->graph;
+  for (uint32_t i = 0; i < 2 * RewriteCache::kCapacity; ++i) {
+    cache.Get(DistinctQuery(i), Rewriting::kDnd, stats);
+  }
+  ASSERT_GT(cache.stats().evictions, 0u);
+  // The entry left the cache: the next lookup misses and computes a new
+  // one, while the held pointer still reads the old entry.
+  const uint64_t misses = cache.stats().misses;
+  const auto again = cache.Get(q, Rewriting::kDnd, stats);
+  EXPECT_EQ(cache.stats().misses, misses + 1);
+  EXPECT_NE(again.get(), held.get());
+  EXPECT_TRUE(held->graph.IdenticalTo(copy));
+  EXPECT_TRUE(again->graph.IdenticalTo(copy));
+}
+
+TEST(RewriteCacheTest, ConcurrentOverlappingStreamsStayConsistent) {
+  const LabelStats stats =
+      LabelStats::FromGraph(testing::MakeClique({0, 1, 2}));
+  RewriteCache cache;
+  // Four threads walk overlapping windows of one query family, which is
+  // larger than the capacity, so lookups hit, miss, promote and evict
+  // concurrently. Every returned entry must be the query's rewriting.
+  constexpr uint32_t kPerThread = RewriteCache::kCapacity;
+  constexpr uint32_t kStride = RewriteCache::kCapacity / 4;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (uint32_t k = 0; k < kPerThread; ++k) {
+        const Graph q = DistinctQuery(t * kStride + k % (3 * kStride));
+        const auto direct = RewriteQuery(q, Rewriting::kDnd, stats);
+        const auto got = cache.Get(q, Rewriting::kDnd, stats);
+        if (!direct.ok() || !got->graph.IdenticalTo(direct->graph)) {
+          wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  const RewriteCache::Stats s = cache.stats();
+  EXPECT_EQ(s.lookups(), 4u * kPerThread);
+  EXPECT_LE(cache.size(), RewriteCache::kCapacity);
 }
 
 // ---- planner policy ----------------------------------------------------

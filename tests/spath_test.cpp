@@ -17,8 +17,10 @@
 #include "gen/dataset_gen.hpp"
 #include "gen/query_gen.hpp"
 #include "gen/rng.hpp"
+#include "match/candidate_index.hpp"
 #include "psi/engine.hpp"
 #include "tests/test_util.hpp"
+#include "vf2/vf2.hpp"
 
 namespace psi {
 namespace {
@@ -364,6 +366,162 @@ TEST(BuildDistanceSignaturesTest, EnginePreparesOnItsOwnPool) {
   const uint64_t before = exec.gauges().tasks_submitted;
   ASSERT_TRUE(engine.Prepare(g).ok());
   EXPECT_GT(exec.gauges().tasks_submitted, before);
+}
+
+// ---- On-demand candidate checks ----------------------------------------
+//
+// sPath builds a full candidate list only for the query vertices its join
+// enters without an anchor (no neighbour earlier in its order, as the
+// first vertex of each component) and checks every other pair when the
+// search reaches it. Every answer below is compared with VF2 with the
+// index off.
+
+MatchOptions CountAllWith(bool multiway) {
+  MatchOptions o;
+  o.max_embeddings = UINT64_MAX;
+  o.multiway = multiway;
+  return o;
+}
+
+uint64_t Vf2Count(const Graph& g, const Graph& q) {
+  Vf2Matcher vf2;
+  vf2.set_candidate_index(nullptr);
+  EXPECT_TRUE(vf2.Prepare(g).ok());
+  const MatchResult r = vf2.Match(q, CountAllWith(false));
+  EXPECT_TRUE(r.complete);
+  return r.embedding_count;
+}
+
+// sPath with the candidate index on or off, fixed before Prepare.
+std::unique_ptr<SPathMatcher> PreparedSpa(const Graph& g, bool index,
+                                          SPathOptions options = {}) {
+  auto m = std::make_unique<SPathMatcher>(options);
+  m->set_candidate_index(index ? CandidateIndex::Build(g) : nullptr);
+  EXPECT_TRUE(m->Prepare(g).ok());
+  return m;
+}
+
+// sPath's count under index on/off x multiway on/off equals VF2's, and
+// every embedding it emits is valid.
+void ExpectSpaAgreesWithVf2(const Graph& g, const Graph& q,
+                            const std::string& context) {
+  const uint64_t want = Vf2Count(g, q);
+  for (bool index : {false, true}) {
+    const auto m = PreparedSpa(g, index);
+    for (bool multiway : {false, true}) {
+      MatchOptions o = CountAllWith(multiway);
+      uint64_t invalid = 0;
+      o.sink = [&](const Embedding& e) {
+        if (!IsValidEmbedding(q, g, e)) ++invalid;
+        return true;
+      };
+      const MatchResult r = m->Match(q, o);
+      EXPECT_TRUE(r.complete) << context;
+      EXPECT_EQ(r.embedding_count, want)
+          << context << " index=" << index << " multiway=" << multiway;
+      EXPECT_EQ(invalid, 0u) << context;
+    }
+  }
+}
+
+// Three labelled triangles joined by bridges and a 4-cycle through a
+// label-1 vertex.
+Graph ComponentTestData() {
+  return MakeGraph({0, 1, 2, 0, 1, 2, 0, 1, 2, 1, 0, 2},
+                   {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3},
+                    {6, 7}, {7, 8}, {8, 6}, {2, 3}, {5, 6}, {9, 0},
+                    {9, 4}, {10, 9}, {11, 10}, {5, 11}});
+}
+
+TEST(SPathOnDemandTest, EveryComponentIsEnteredFromItsOwnList) {
+  const Graph g = ComponentTestData();
+  // A triangle and a disjoint edge.
+  const Graph two = MakeGraph({0, 1, 2, 1, 0},
+                              {{0, 1}, {1, 2}, {2, 0}, {3, 4}});
+  ExpectSpaAgreesWithVf2(g, two, "triangle + edge");
+  // The edge first by id: the component order does not follow ids.
+  const Graph two_swapped = MakeGraph({1, 0, 0, 1, 2},
+                                      {{0, 1}, {2, 3}, {3, 4}, {4, 2}});
+  ExpectSpaAgreesWithVf2(g, two_swapped, "edge + triangle");
+  // A path and an isolated vertex, which no path covers.
+  const Graph isolated = MakeGraph({0, 1, 2, 1}, {{0, 1}, {1, 2}});
+  ExpectSpaAgreesWithVf2(g, isolated, "path + isolated vertex");
+  // Two edges and an isolated vertex: three components.
+  const Graph three = MakeGraph({2, 0, 1, 2, 0}, {{0, 1}, {2, 3}});
+  ExpectSpaAgreesWithVf2(g, three, "edge + edge + isolated vertex");
+}
+
+TEST(SPathOnDemandTest, VertexNothingCanTakeEndsBeforeTheSearch) {
+  // Radius 1: the first vertex (0) sees only its neighbour, so it keeps a
+  // candidate; vertex 2 needs neighbours labelled 1 and 3, which no data
+  // vertex labelled 2 has. The probe for it finds nothing.
+  const Graph g = MakeGraph({0, 1, 2, 2, 3}, {{0, 1}, {1, 2}, {3, 4}});
+  const Graph q = MakePath({0, 1, 2, 3});
+  SPathOptions radius1;
+  radius1.radius = 1;
+  for (bool index : {false, true}) {
+    const auto m = PreparedSpa(g, index, radius1);
+    ASSERT_NE(m->DecomposeQuery(q).front().front(), 2u)
+        << "vertex 2 must be reached through an anchor";
+    for (bool multiway : {false, true}) {
+      const MatchResult r = m->Match(q, CountAllWith(multiway));
+      EXPECT_TRUE(r.complete);
+      EXPECT_EQ(r.embedding_count, 0u);
+      EXPECT_EQ(r.stats.recursion_nodes, 0u) << "index=" << index;
+    }
+  }
+  EXPECT_EQ(Vf2Count(g, q), 0u);
+}
+
+TEST(SPathOnDemandTest, RawAdjacencyRejectsWrongLabelNeighbours) {
+  // Without the index the anchored source is the anchor image's whole
+  // adjacency: the label-0 hub's neighbours carry labels 1, 2 and 3, and
+  // only the check keeps the wrong ones out.
+  const Graph g = MakeGraph({0, 1, 2, 3, 1, 2},
+                            {{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5},
+                             {1, 2}, {4, 5}});
+  ExpectSpaAgreesWithVf2(g, MakePath({0, 1}), "hub-leaf");
+  ExpectSpaAgreesWithVf2(g, MakePath({1, 0, 2}), "leaf-hub-leaf");
+  ExpectSpaAgreesWithVf2(g, testing::MakeCycle({0, 1, 2}), "triangle");
+  ExpectSpaAgreesWithVf2(g, testing::MakeStar({0, 1, 2, 3}), "star");
+}
+
+TEST(SPathOnDemandTest, BackToBackCallsReuseNoStaleVerdict) {
+  // One thread's calls share the leased stamp cells. The first call
+  // rejects (vertex 1, data vertex 2) for its wrong label; the same query
+  // again must reject it again, and a query that wants label 2 at vertex
+  // 1 must accept it.
+  const Graph g = MakeGraph({0, 1, 2}, {{0, 1}, {0, 2}});
+  const Graph wants1 = MakePath({0, 1});
+  const Graph wants2 = MakePath({0, 2});
+  ASSERT_EQ(Vf2Count(g, wants1), 1u);
+  ASSERT_EQ(Vf2Count(g, wants2), 1u);
+  for (bool index : {false, true}) {
+    const auto m = PreparedSpa(g, index);
+    ASSERT_EQ(m->DecomposeQuery(wants1).front().front(), 0u);
+    for (const Graph* q : {&wants1, &wants1, &wants2, &wants1, &wants2}) {
+      EXPECT_EQ(m->Match(*q, CountAllWith(true)).embedding_count, 1u)
+          << "index=" << index;
+    }
+  }
+  // Across a wider sequence: each query's count equals VF2's whatever
+  // ran before it on this thread. The cap one above VF2's count ends a
+  // call that admits a wrong candidate at its first surplus embedding.
+  const Graph data = gen::YeastLike(8, 2);
+  auto w = gen::GenerateWorkload(data, 4, 8, 91);
+  ASSERT_TRUE(w.ok());
+  const auto m = PreparedSpa(data, /*index=*/false);
+  std::vector<uint64_t> want;
+  for (const auto& query : *w) want.push_back(Vf2Count(data, query.graph));
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t i = 0; i < w->size(); ++i) {
+      const size_t k = pass == 0 ? i : w->size() - 1 - i;
+      MatchOptions o = CountAllWith(false);
+      o.max_embeddings = want[k] + 1;
+      EXPECT_EQ(m->Match((*w)[k].graph, o).embedding_count, want[k])
+          << "pass " << pass << " query " << k;
+    }
+  }
 }
 
 }  // namespace
