@@ -2,10 +2,7 @@
 // Generates a workload over a yeast-like graph, finds the straggler
 // queries of GraphQL, and shows that (i) an isomorphic rewriting or
 // (ii) another algorithm (sPath) — i.e. exactly what the Ψ-framework
-// races — rescues them, and (iii) the deployment-side third rescue:
-// splitting the straggler's own search frontier across the executor
-// pool (MatchParallel), which attacks the tail even when every variant
-// of the race is slow.
+// races — rescues them.
 //
 //   $ ./examples/straggler_hunt
 
@@ -14,11 +11,9 @@
 #include <vector>
 
 #include "core/label_stats.hpp"
-#include "exec/executor.hpp"
 #include "gen/dataset_gen.hpp"
 #include "gen/query_gen.hpp"
 #include "graphql/graphql.hpp"
-#include "match/parallel.hpp"
 #include "psi/portfolio.hpp"
 #include "spath/spath.hpp"
 
@@ -65,7 +60,6 @@ int main() {
   const Portfolio portfolio =
       MakeMultiAlgorithmPortfolio(matchers, rewritings);
 
-  Executor pool;  // for the intra-query split rescue
   int shown = 0;
   for (const Row& row : rows) {
     if (shown >= 5) break;
@@ -82,25 +76,10 @@ int main() {
               << "  ->";
     if (race.completed()) {
       std::cout << " winner " << race.workers[race.winner].name << " in "
-                << race.wall_ms() << "ms";
+                << race.wall_ms() << "ms\n";
     } else {
-      std::cout << " no contender finished";
+      std::cout << " no contender finished\n";
     }
-    // The third rescue: same matcher, root frontier split across the
-    // pool (answers identical by MatchParallel's determinism contract;
-    // the wall-clock win needs real cores — on a 1-core box this just
-    // demonstrates the exactness).
-    MatchOptions so;
-    so.max_embeddings = 1000;
-    so.deadline = Deadline::AfterMillis(static_cast<int64_t>(cap_ms));
-    ParallelMatchOptions po;
-    po.split = 4;
-    po.executor = &pool;
-    const MatchResult split = MatchParallel(gql, q, so, po);
-    std::cout << "  | GQL split x4: "
-              << (split.complete ? std::to_string(split.elapsed_ms()) + "ms"
-                                 : "KILLED")
-              << " (" << split.embedding_count << " embeddings)\n";
   }
   if (shown == 0) {
     std::cout << "  (no straggler above 10x median in this workload — "

@@ -157,20 +157,6 @@ bool MatchIndexEnabled() {
   return EnvIntClamped("PSI_MATCH_INDEX", 1, 0, 1) != 0;
 }
 
-// 0 disables the hub bitsets; negatives clamp to 0 (disabled, as before).
-int64_t MatchBitsetDegree() {
-  return EnvIntClamped("PSI_MATCH_BITSET_DEGREE", 64, 0, kCountMax);
-}
-
-// 0 = split off; negatives clamp to 0 (off, as before).
-int64_t MatchSplit() {
-  return EnvIntClamped("PSI_MATCH_SPLIT", 0, 0, kCountMax);
-}
-
-int64_t MatchSplitMinSlice() {
-  return EnvIntClamped("PSI_MATCH_SPLIT_MIN_SLICE", 8, 1, kCountMax);
-}
-
 // 0 = retries off (every overloaded race degrades immediately).
 int64_t RetryMax() { return EnvIntClamped("PSI_RETRY_MAX", 0, 0, 100); }
 

@@ -88,27 +88,6 @@ int64_t PlanMinSamples();
 /// unindexed searches. Never changes answers, only effort.
 bool MatchIndexEnabled();
 
-/// Hub-bitset degree threshold of the candidate index
-/// (PSI_MATCH_BITSET_DEGREE, default 64): vertices at or above it get a
-/// dense adjacency bitset for O(1) backward-edge checks; <= 0 disables
-/// the bitsets while keeping slices and NLF prefilters.
-int64_t MatchBitsetDegree();
-
-/// Intra-query split width (PSI_MATCH_SPLIT, default 0 = off): when > 1,
-/// heavy Match() calls may partition their root candidate frontier into
-/// up to this many executor tasks (match/parallel.hpp). Feeds
-/// QueryPlannerOptions::split_workers, making staged plans escalate a
-/// probe miss to a split run of the predicted winner
-/// (EscalationPolicy::kSplit). Never changes answers, only wall-clock.
-int64_t MatchSplit();
-
-/// Minimum root-frontier candidates per split task
-/// (PSI_MATCH_SPLIT_MIN_SLICE, default 8): searches whose estimated root
-/// frontier is smaller than split * this run serially, or with a reduced
-/// width — per-task candidate-building overhead is not worth amortizing
-/// over tiny slices.
-int64_t MatchSplitMinSlice();
-
 /// Bounded retry budget for transient Overloaded races in the workload
 /// runners (PSI_RETRY_MAX, default 0 = off, clamped to [0, 100]): each
 /// admission-decided rejection sleeps an exponentially growing backoff

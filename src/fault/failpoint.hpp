@@ -26,10 +26,12 @@
 // on destruction — the test idiom.
 //
 // Absorption contract (see ARCHITECTURE.md "Fault injection & degradation
-// ladder"): recovery paths — inline re-runs of displaced work, the
-// crash-absorption re-race — execute under a FaultSuppressionScope, so
-// every injected fault is absorbed in at most one recovery step and a
-// schedule of absorbable faults cannot change answers or livelock.
+// ladder"): the crash-absorption re-race executes under a
+// FaultSuppressionScope, and work a fault displaces from a helper task is
+// drained by its caller and never displaced again (DrainIndices,
+// exec/executor.hpp), so every injected fault is absorbed in at most one
+// recovery step and a schedule of absorbable faults cannot change answers
+// or livelock.
 //
 // Wired sites (kinds each one honours; kDelay sleeps inside Evaluate and
 // is honoured everywhere):

@@ -183,7 +183,7 @@ MatchResult GraphQlMatcher::Match(const Graph& query,
   MatchResult r = GqlSearch(query, *data_, signatures_, options_, opts,
                             candidate_index(), *scratch)
                       .Run();
-  NoteMatch(opts, r.stats);
+  NoteMatch(r.stats);
   return r;
 }
 

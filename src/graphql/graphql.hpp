@@ -40,8 +40,6 @@ class GraphQlMatcher : public Matcher {
   MatchResult Match(const Graph& query,
                     const MatchOptions& opts) const override;
   const Graph* data() const override { return data_; }
-  /// Honours MatchOptions root ranges (match/parallel.hpp splits here).
-  bool SupportsRootSplit() const override { return true; }
 
   /// Exposed for tests: the sorted neighbour-label signature of a data
   /// vertex.

@@ -7,19 +7,8 @@
 
 namespace psi {
 
-CandidateIndexOptions CandidateIndexOptions::FromEnv() {
-  CandidateIndexOptions o;
-  o.bitset_degree_threshold = MatchBitsetDegree();
-  return o;
-}
-
 bool ResolveKernelEnabled(int requested) {
   return requested < 0 ? MatchIndexEnabled() : requested != 0;
-}
-
-const CandidateIndexOptions& CandidateIndex::FromEnvCached() {
-  static const CandidateIndexOptions cached = CandidateIndexOptions::FromEnv();
-  return cached;
 }
 
 std::shared_ptr<const CandidateIndex> CandidateIndex::Build(
@@ -47,8 +36,7 @@ std::shared_ptr<const CandidateIndex> CandidateIndex::Build(
   // the per-label range directory. Low-degree neighbours lead each slice:
   // a low-degree candidate constrains the rest of the search most (its
   // own slices are the smallest), so enumerating it first tends to reach
-  // the max_embeddings cap — and a split range's shared-budget fast-cancel
-  // — sooner. The graph's lists are id-sorted, so the stable sort's
+  // the max_embeddings cap sooner. The graph's lists are id-sorted, so the stable sort's
   // (label, degree) key yields (label, degree, id) order deterministically
   // for any input permutation of equal keys.
   std::vector<uint32_t> perm;

@@ -22,7 +22,7 @@
 //     equally-labelled neighbours, so the query vertex's label set must be
 //     a subset of the data vertex's — the degree check rides along).
 //  3. Hub adjacency bitsets — vertices with degree >=
-//     `bitset_degree_threshold` (PSI_MATCH_BITSET_DEGREE) get a dense
+//     `bitset_degree_threshold` (64 unless a caller sets it) get a dense
 //     |V|-bit adjacency row, making backward-edge checks against hubs O(1)
 //     instead of O(log d) binary searches.
 //
@@ -33,10 +33,8 @@
 //    identical with the index on or off, as are all uncapped counts. The
 //    enumeration *order* does differ (slices run (degree, id) within a
 //    label, raw adjacency runs plain id), so only the sorted streams are
-//    comparable across index on/off; the byte-identical-stream invariant
-//    lives one level up, in the split driver (match/parallel.hpp): split
-//    on vs. off never reorders anything. Slice order itself is
-//    deterministic — a pure function of the stored graph.
+//    comparable across index on/off. Slice order itself is deterministic
+//    — a pure function of the stored graph.
 //  * The index is immutable after Build — safe to share across any number
 //    of racing variants, pool tasks and client threads.
 //  * Bitset threshold semantics: the bitset is a pure accelerator for the
@@ -67,9 +65,6 @@ struct CandidateIndexOptions {
   /// binary-search edge checks — a pure accelerator, never a correctness
   /// knob). <= 0 disables the cap.
   int64_t bitset_memory_budget_bytes = 64 << 20;
-
-  /// Defaults resolved from the environment (PSI_MATCH_BITSET_DEGREE).
-  static CandidateIndexOptions FromEnv();
 };
 
 /// Resolves the shared tri-state kernel switch used by the FTV index
@@ -96,7 +91,8 @@ class CandidateIndex {
 
   /// Builds the index over `g`. `g` must outlive the index.
   static std::shared_ptr<const CandidateIndex> Build(
-      const Graph& g, const CandidateIndexOptions& options = FromEnvCached());
+      const Graph& g,
+      const CandidateIndexOptions& options = CandidateIndexOptions{});
 
   const Graph* graph() const { return graph_; }
 
@@ -207,9 +203,6 @@ class CandidateIndex {
 
  private:
   static constexpr uint32_t kNoHub = static_cast<uint32_t>(-1);
-
-  /// FromEnv() resolved once per process (the env cannot change mid-run).
-  static const CandidateIndexOptions& FromEnvCached();
 
   const Graph* graph_ = nullptr;
   // Regrouped CSR: per vertex the same extent as Graph's adjacency, but

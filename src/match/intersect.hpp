@@ -19,10 +19,10 @@
 //    the embedding stream stays byte-identical to the legacy path.
 //
 // Hub fallback: backward neighbours that carry a dense adjacency bitset
-// (degree >= PSI_MATCH_BITSET_DEGREE) are cheaper to test per survivor in
-// O(1) than to gallop through, so they are checked via
-// CandidateIndex::EdgeCheck after the slice intersection instead of
-// joining it. So every galloped input is a non-hub slice, shorter than
+// (degree >= CandidateIndexOptions::bitset_degree_threshold, 64) are
+// cheaper to test per survivor in O(1) than to gallop through, so they
+// are checked via CandidateIndex::EdgeCheck after the slice intersection
+// instead of joining it. So every galloped input is a non-hub slice, shorter than
 // the bitset degree however dense the graph (unless the bitset memory
 // budget ran out), which is why the gallop is scalar: vector window scans
 // did not pay at that length.

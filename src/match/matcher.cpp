@@ -22,12 +22,6 @@ void MatchKernelStats::AddTo(PoolGauges* g) const {
       multiway_intersections_.load(std::memory_order_relaxed);
   g->kernel_intersection_shortcuts +=
       intersection_shortcuts_.load(std::memory_order_relaxed);
-  g->kernel_split_matches += split_matches_.load(std::memory_order_relaxed);
-  g->kernel_split_tasks += split_tasks_.load(std::memory_order_relaxed);
-  g->kernel_split_tasks_inline +=
-      split_tasks_inline_.load(std::memory_order_relaxed);
-  g->kernel_split_budget_stops +=
-      split_budget_stops_.load(std::memory_order_relaxed);
 }
 
 void Matcher::PrepareCandidateIndex(const Graph& data) {

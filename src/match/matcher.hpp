@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <string_view>
 #include <vector>
 
@@ -54,24 +53,6 @@ struct MatchOptions {
   /// How many search steps between stop/deadline polls.
   uint32_t guard_period = 256;
 
-  // ---- Root-frontier split (match/parallel.hpp) ----
-  //
-  // When num_root_ranges > 1 this call is one task of a split search: the
-  // first enumerated query vertex draws candidates only from block
-  // `root_range` of its root candidate list (SplitRootCandidates); all
-  // deeper levels are unaffected. Split tasks also follow a stats
-  // discipline so that per-range partials merged with MatchStats::Add
-  // equal the serial counters exactly: the shared depth-0 recursion node
-  // and any pre-enumeration candidate-building work are counted by the
-  // primary range (root_range == 0) only, and the matcher skips its
-  // MatchKernelStats::Note — the split driver notes the merged stats
-  // once per logical Match.
-
-  /// Which root block this task enumerates (0-based).
-  uint32_t root_range = 0;
-  /// Total number of root blocks; 0 or 1 = unsplit (the default).
-  uint32_t num_root_ranges = 0;
-
   // ---- Multiway (WCOJ) extension kernel (match/intersect.hpp) ----
   //
   // When enabled and the candidate index is active, a matcher extends a
@@ -85,26 +66,7 @@ struct MatchOptions {
   /// false = the enumerate-then-check inner loop, kept as the reference
   /// the differential tests and the kernel bench compare against.
   bool multiway = true;
-
-  bool split_task() const { return num_root_ranges > 1; }
-  /// True for the range that owns the shared (pre-enumeration) counters.
-  bool primary_range() const { return !split_task() || root_range == 0; }
 };
-
-/// The contiguous block of the root candidate list a split task
-/// enumerates: [k*n/K, (k+1)*n/K) for range k of K — blocks partition the
-/// list in order, so concatenating the per-range embedding streams in
-/// range order reproduces the serial stream byte for byte.
-inline std::span<const VertexId> SplitRootCandidates(
-    std::span<const VertexId> all, const MatchOptions& o) {
-  if (!o.split_task()) return all;
-  const size_t n = all.size();
-  const size_t k = o.root_range;
-  const size_t kk = o.num_root_ranges;
-  const size_t begin = n * k / kk;
-  const size_t end = n * (k + 1) / kk;
-  return all.subspan(begin, end - begin);
-}
 
 /// Search-effort counters, for tests and ablation benches. The kernel
 /// counters are zero when the candidate index (candidate_index.hpp) is
@@ -159,22 +121,6 @@ class MatchKernelStats {
                                       std::memory_order_relaxed);
   }
 
-  /// One split-enumerated Match() call (match/parallel.hpp):
-  /// `pool_tasks` range tasks ran on the executor, `inline_tasks` were
-  /// displaced by admission control and re-ran inline on the caller, and
-  /// `budget_stop` tells whether the shared embedding budget tripped the
-  /// group's fast-cancel. The logical call itself is still recorded via
-  /// Note (the split driver calls it once with the merged stats).
-  void NoteSplit(uint64_t pool_tasks, uint64_t inline_tasks,
-                 bool budget_stop) {
-    split_matches_.fetch_add(1, std::memory_order_relaxed);
-    split_tasks_.fetch_add(pool_tasks, std::memory_order_relaxed);
-    split_tasks_inline_.fetch_add(inline_tasks, std::memory_order_relaxed);
-    if (budget_stop) {
-      split_budget_stops_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
   /// Adds this instance's counters into a PoolGauges snapshot
   /// (metrics/metrics.hpp kernel_* fields).
   void AddTo(PoolGauges* g) const;
@@ -188,10 +134,6 @@ class MatchKernelStats {
   std::atomic<uint64_t> slice_candidates_{0};
   std::atomic<uint64_t> multiway_intersections_{0};
   std::atomic<uint64_t> intersection_shortcuts_{0};
-  std::atomic<uint64_t> split_matches_{0};
-  std::atomic<uint64_t> split_tasks_{0};
-  std::atomic<uint64_t> split_tasks_inline_{0};
-  std::atomic<uint64_t> split_budget_stops_{0};
 };
 
 /// Outcome of one Match() call.
@@ -235,12 +177,6 @@ class Matcher {
   /// The prepared stored graph, or nullptr before Prepare.
   virtual const Graph* data() const = 0;
 
-  /// Whether Match() honours MatchOptions root_range/num_root_ranges —
-  /// the anchored-slice entry point MatchParallel (match/parallel.hpp)
-  /// partitions. The split driver falls back to a serial Match() for
-  /// matchers that do not.
-  virtual bool SupportsRootSplit() const { return false; }
-
   // ---- Shared candidate-index kernel (match/candidate_index.hpp) ----
   //
   // All four library matchers accelerate candidate enumeration and
@@ -274,13 +210,9 @@ class Matcher {
   /// builds one when the kernel is enabled, clears it when disabled.
   void PrepareCandidateIndex(const Graph& data);
 
-  /// Kernel-stats recording for one Match() call: a split task must NOT
-  /// note itself (the driver notes the merged stats once per logical call
-  /// — otherwise a k-way split would inflate `matches` k-fold).
-  void NoteMatch(const MatchOptions& opts, const MatchStats& s) const {
-    if (!opts.split_task()) {
-      kernel_stats_.Note(s, candidate_index() != nullptr);
-    }
+  /// Kernel-stats recording for one Match() call.
+  void NoteMatch(const MatchStats& s) const {
+    kernel_stats_.Note(s, candidate_index() != nullptr);
   }
 
   std::shared_ptr<const CandidateIndex> candidate_index_;

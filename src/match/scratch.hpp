@@ -212,8 +212,8 @@ class CandidateListSearch : public BacktrackSearch<Derived> {
 
   /// The memoized predicate: the stamped verdict, or one decided and
   /// stamped now. An on-demand verdict counts no NLF reject, so the
-  /// counters do not depend on which pairs the join reaches (split or
-  /// multiway on or off).
+  /// counters do not depend on which pairs the join reaches (multiway on
+  /// or off).
   bool IsCandidate(VertexId u, VertexId v) {
     const uint32_t stamp = scr_.cand_stamp[Cell(u, v)];
     if (stamp == scr_.epoch) return true;
@@ -245,15 +245,13 @@ class CandidateListSearch : public BacktrackSearch<Derived> {
   }
 
   /// The predicate for a same-label pair: degree, the NLF prefilter, then
-  /// Derived::Keep. With `count`, an NLF reject is counted by the primary
-  /// split range alone: every range repeats Prepare's scans (exact stats
-  /// folding).
+  /// Derived::Keep. With `count`, an NLF reject is counted.
   bool Passes(VertexId u, VertexId v, bool count) {
     const Graph& q = this->q_;
     if (this->g_.degree(v) < q.degree(u)) return false;
     if (this->index_ != nullptr &&
         !this->index_->NlfAdmits(this->qnlf_[u], q.degree(u), v)) {
-      if (count && this->opts_.primary_range()) ++this->stats_.nlf_rejects;
+      if (count) ++this->stats_.nlf_rejects;
       return false;
     }
     return static_cast<Derived&>(*this).Keep(u, v);

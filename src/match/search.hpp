@@ -3,8 +3,6 @@
 //
 // The engines differ only in matching order, candidate source and
 // per-candidate check. Everything else about a search lives here once:
-//  * depth-0 counting by the primary split range only;
-//  * root-frontier splitting (SplitRootCandidates at depth 0);
 //  * multiway (WCOJ) engagement with per-depth scratch;
 //  * query NLF fingerprints, the CostGuard and result assembly.
 //
@@ -16,9 +14,7 @@
 //       Per-call setup (candidate lists, matching order, global rejects).
 //       false = no embedding exists; the search completes empty.
 //   VertexId Next(uint32_t depth);
-//       The query vertex placed at `depth`. Must be a pure function of the
-//       current assignment — split ranges depend on it to reproduce their
-//       block of the serial stream.
+//       The query vertex placed at `depth`.
 //   std::span<const VertexId> Source(uint32_t depth, VertexId u);
 //       Candidates for `u` when multiway does not engage.
 //   bool Admit(uint32_t depth, VertexId u, VertexId v, size_t i, bool mw);
@@ -175,10 +171,7 @@ class BacktrackSearch {
       if (opts_.sink && !opts_.sink(map_)) return false;
       return found_ < opts_.max_embeddings;
     }
-    // The shared depth-0 node is counted by the primary split range only,
-    // so per-range stats merged with MatchStats::Add equal the serial
-    // counters exactly.
-    if (depth != 0 || opts_.primary_range()) ++stats_.recursion_nodes;
+    ++stats_.recursion_nodes;
     const VertexId u = self().Next(depth);
 
     // Multiway (WCOJ) extension: with >= 2 matched backward neighbours,
@@ -198,11 +191,7 @@ class BacktrackSearch {
         mw = true;
       }
     }
-    if (!mw) {
-      candidates = self().Source(depth, u);
-      // A split task enumerates only its block of the root frontier.
-      if (depth == 0) candidates = SplitRootCandidates(candidates, opts_);
-    }
+    if (!mw) candidates = self().Source(depth, u);
 
     for (size_t i = 0; i < candidates.size(); ++i) {
       const VertexId v = candidates[i];

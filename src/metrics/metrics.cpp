@@ -212,13 +212,6 @@ std::string FormatKernelGauges(const PoolGauges& g) {
     out += " multiway=" + std::to_string(g.kernel_multiway_intersections);
     out += " shortcuts=" + std::to_string(g.kernel_intersection_shortcuts);
   }
-  if (g.kernel_split_matches > 0) {
-    out += " split=" + std::to_string(g.kernel_split_matches);
-    out += " split_tasks=" + std::to_string(g.kernel_split_tasks);
-    out += " split_inline=" + std::to_string(g.kernel_split_tasks_inline);
-    out += " split_budget_stops=" +
-           std::to_string(g.kernel_split_budget_stops);
-  }
   out += "]";
   return out;
 }

@@ -147,11 +147,9 @@ struct PoolGauges {
   uint64_t kernel_simd_galloped = 0;
   uint64_t kernel_intersection_shortcuts = 0;  ///< extensions refuted early
                                                ///< (empty input or partial)
-  // Intra-query split-enumeration gauges (match/parallel.hpp).
-  uint64_t kernel_split_matches = 0;  ///< Match() calls that actually split
-  uint64_t kernel_split_tasks = 0;    ///< range tasks run on the pool
-  uint64_t kernel_split_tasks_inline = 0;  ///< displaced ranges, run inline
-  uint64_t kernel_split_budget_stops = 0;  ///< shared-budget fast-cancels
+  /// Always 0: intra-query root splitting was removed. The field stays
+  /// only because psibench reads it (`match.split_per_req`).
+  uint64_t kernel_split_matches = 0;
   /// Always 0: work stealing below the root split was removed. The field
   /// stays because psibench reads it (`match.stolen_per_req`).
   uint64_t kernel_steal_stolen = 0;

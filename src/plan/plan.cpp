@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "fault/failpoint.hpp"
-#include "match/parallel.hpp"
 
 namespace psi {
 
@@ -84,9 +83,7 @@ PlanResult ExecutePlan(const QueryPlan& plan,
     ro.budget = stage.budget.count() > 0 ? stage.budget : base.budget;
     ro.variant_budgets.assign(stage.steps.size(),
                               std::chrono::nanoseconds(0));
-    ro.variant_splits.assign(stage.steps.size(), 1);
     bool any_step_budget = false;
-    bool any_step_split = false;
     for (const PlanStep& step : stage.steps) {
       if (step.variant >= universe.size()) continue;
       contenders.push_back(universe[step.variant]);
@@ -97,13 +94,8 @@ PlanResult ExecutePlan(const QueryPlan& plan,
         ro.variant_budgets[contenders.size() - 1] = step.budget;
         any_step_budget = true;
       }
-      if (step.split > 1) {
-        ro.variant_splits[contenders.size() - 1] = step.split;
-        any_step_split = true;
-      }
     }
     if (!any_step_budget) ro.variant_budgets.clear();
-    if (!any_step_split) ro.variant_splits.clear();
     if (contenders.empty()) continue;
 
     const RaceResult r = Race(contenders, ro);
@@ -178,16 +170,6 @@ PlanResult ExecutePortfolioPlan(const QueryPlan& plan,
                        rq = rewritten[i]](const MatchOptions& mo) {
       return matcher->Match(rq->graph, mo);
     };
-    // Split entry point for EscalationPolicy::kSplit stages: same search,
-    // root frontier fanned across the race's own pool.
-    universe[i].run_split = [matcher = e.matcher, rq = rewritten[i],
-                             exec = base.executor](const MatchOptions& mo,
-                                                   uint32_t workers) {
-      ParallelMatchOptions po = ParallelMatchOptions::FromEnv();
-      po.split = workers;
-      po.executor = exec;
-      return MatchParallel(*matcher, rq->graph, mo, po);
-    };
   }
   return ExecutePlan(plan, universe, base);
 }
@@ -212,9 +194,6 @@ std::string FormatPlan(const QueryPlan& plan,
                                          : "#" + std::to_string(step.variant);
       if (step.budget.count() > 0) {
         out += "@" + MillisOf(step.budget) + "ms";
-      }
-      if (step.split > 1) {
-        out += " x" + std::to_string(step.split);
       }
     }
     out += "\n";

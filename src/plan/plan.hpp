@@ -38,11 +38,6 @@ struct PlanStep {
   size_t variant = 0;
   /// Per-variant kill budget; zero inherits the stage budget.
   std::chrono::nanoseconds budget{0};
-  /// Split-enumeration width for this step: > 1 runs the variant through
-  /// its run_split hook (match/parallel.hpp) with that many root-range
-  /// workers; 0 / 1 runs it serially. Splitting never changes answers,
-  /// only wall-clock (MatchParallel's determinism contract).
-  uint32_t split = 1;
 };
 
 /// One race: all steps run concurrently, first completion wins.
@@ -60,13 +55,6 @@ enum class EscalationPolicy : uint8_t {
   /// Run the next stage; the last stage's outcome is final. The staged
   /// probe-then-full-race pipeline.
   kOnMiss,
-  /// Same escalation mechanics as kOnMiss, but the follow-up stage throws
-  /// the pool at the predicted winner (PlanStep::split > 1) instead of
-  /// widening the race — "split the winner across k workers" as the
-  /// alternative answer to a probe miss. Distinct from kOnMiss only so
-  /// plans/metrics can tell the two strategies apart; ExecutePlan treats
-  /// both as "run the next stage on a miss".
-  kSplit,
 };
 
 struct QueryPlan {

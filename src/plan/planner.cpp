@@ -11,7 +11,6 @@ QueryPlannerOptions QueryPlannerOptions::FromEnv() {
   o.staged = PlanStaged();
   o.probe_fraction = static_cast<double>(PlanProbePercent()) / 100.0;
   o.min_samples = static_cast<size_t>(PlanMinSamples());
-  o.split_workers = static_cast<size_t>(MatchSplit());
   return o;
 }
 
@@ -68,21 +67,6 @@ QueryPlan QueryPlanner::Plan(const QueryFeatures& features) const {
   if (staging) {
     PlanStage probe = ProbeStage(order, options_.probe_variants,
                                  options_.probe_fraction, options_.budget);
-    if (options_.split_workers > 1 && !order.empty()) {
-      // Probe miss → throw the pool at the predicted winner instead of
-      // widening the race: one split step at the full budget.
-      PlanStage split_stage;
-      split_stage.budget = options_.budget;
-      PlanStep step{order[0], {}};
-      step.split = static_cast<uint32_t>(options_.split_workers);
-      split_stage.steps.push_back(step);
-      plan.name = "staged(top" + std::to_string(probe.steps.size()) +
-                  "->split" + std::to_string(options_.split_workers) + ")";
-      plan.escalation = EscalationPolicy::kSplit;
-      plan.stages.push_back(std::move(probe));
-      plan.stages.push_back(std::move(split_stage));
-      return plan;
-    }
     plan.name = "staged(top" + std::to_string(probe.steps.size()) + "->" +
                 (narrowing ? "top" + std::to_string(full.steps.size())
                            : std::string("full")) +

@@ -51,17 +51,13 @@ struct QueryPlannerOptions {
   /// Observed race outcomes before ranking counts as warm; below this,
   /// plans are single-stage full races in rule-preferred order.
   size_t min_samples = 8;
-  /// When > 1, a staged plan escalates a probe miss to "split the
-  /// predicted winner across root-range workers"
-  /// (EscalationPolicy::kSplit + match/parallel.hpp) instead of widening
-  /// to the full race — intra-query parallelism as the straggler answer.
-  /// The split step runs at this width. Requires `staged`; 0 / 1 keeps
-  /// the classic full-race escalation.
+  /// Read by nothing. Kept only because psibench/src/harness.cpp still
+  /// assigns it; it goes when that harness stops naming it.
   size_t split_workers = 0;
 
   /// Plan knobs from the environment: PSI_PLAN_STAGED,
-  /// PSI_PLAN_PROBE_PCT, PSI_PLAN_MIN_SAMPLES, PSI_MATCH_SPLIT
-  /// (split_workers; budget and portfolio_limit stay caller-owned).
+  /// PSI_PLAN_PROBE_PCT, PSI_PLAN_MIN_SAMPLES (budget and
+  /// portfolio_limit stay caller-owned).
   static QueryPlannerOptions FromEnv();
 };
 

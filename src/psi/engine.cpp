@@ -76,7 +76,6 @@ Status PsiEngine::Prepare(const Graph& data, const StopToken* stop) {
   po.probe_fraction = options_.probe_fraction;
   po.portfolio_limit = options_.portfolio_limit;
   po.min_samples = options_.plan_min_samples;
-  po.split_workers = options_.split_workers;
   planner_.Configure(&portfolio_, &stats_, po);
   rewrite_cache_.Clear();
   return Status::OK();

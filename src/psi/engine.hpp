@@ -70,12 +70,9 @@ struct PsiEngineOptions {
   /// Race outcomes observed before plans narrow or stage (default: env
   /// PSI_PLAN_MIN_SAMPLES).
   size_t plan_min_samples = static_cast<size_t>(PlanMinSamples());
-  /// When > 1 (default: env PSI_MATCH_SPLIT), staged plans escalate a
-  /// probe miss to splitting the predicted winner's root frontier across
-  /// this many executor workers (EscalationPolicy::kSplit +
-  /// match/parallel.hpp) instead of widening to the full race. Answers
-  /// are unchanged either way — splitting is deterministic by contract.
-  size_t split_workers = static_cast<size_t>(MatchSplit());
+  /// Read by nothing. Kept only because psibench/src/harness.cpp still
+  /// reads it; it goes when that harness stops naming it.
+  size_t split_workers = 0;
   /// CostGuard poll period forwarded into every race (default: env
   /// PSI_GUARD_PERIOD). Smaller = snappier cancellation, more clock
   /// polling.

@@ -64,39 +64,20 @@ Deadline VariantDeadline(const RaceOptions& options, size_t i,
   return shared;
 }
 
-/// Variant i's requested split width: the variant_splits entry when set
-/// and the variant exposes a split entry point, 1 (serial) otherwise.
-uint32_t VariantSplit(std::span<const RaceVariant> variants,
-                      const RaceOptions& options, size_t i) {
-  if (i < options.variant_splits.size() && options.variant_splits[i] > 1 &&
-      variants[i].run_split) {
-    return options.variant_splits[i];
-  }
-  return 1;
-}
-
-/// Dispatches to the variant's split entry point when a width > 1 was
-/// requested, to its plain run otherwise.
-MatchResult RunBody(const RaceVariant& variant, uint32_t split,
-                    const MatchOptions& mo) {
-  if (split > 1 && variant.run_split) return variant.run_split(mo, split);
-  return variant.run(mo);
-}
-
-/// RunBody with crash isolation: a variant body that throws — a real
+/// Runs a variant's body with crash isolation: a body that throws — a real
 /// matcher bug or the race.variant failpoint — is absorbed as a killed
 /// variant (cancelled, started, elapsed > 0 so admission-decided
 /// classification stays truthful) instead of unwinding through the race.
 /// The race then degrades to the survivors; an all-crashed race simply
 /// has no winner and surfaces as Status::Aborted upstream.
-MatchResult RunBodyIsolated(const RaceVariant& variant, uint32_t split,
+MatchResult RunBodyIsolated(const RaceVariant& variant,
                             const MatchOptions& mo, bool* crashed) {
   const auto t0 = std::chrono::steady_clock::now();
   try {
     if (PSI_FAULT_POINT("race.variant") == FaultKind::kThrow) {
       throw FaultInjectedError("race.variant");
     }
-    return RunBody(variant, split, mo);
+    return variant.run(mo);
   } catch (...) {
     *crashed = true;
     FaultStats::Instance().NoteCrash();
@@ -119,7 +100,7 @@ std::chrono::nanoseconds WatchdogGrace(const RaceOptions& options) {
 /// Runs variant `i` under the race's shared deadline/token, records its
 /// outcome, and — on the race's first completion — claims the win and
 /// trips `stop` to call off the rest of the race.
-void RunVariant(const RaceVariant& variant, size_t i, uint32_t split,
+void RunVariant(const RaceVariant& variant, size_t i,
                 const RaceOptions& options, Deadline deadline,
                 StopToken& stop, RaceShared& s) {
   MatchOptions mo;
@@ -128,7 +109,7 @@ void RunVariant(const RaceVariant& variant, size_t i, uint32_t split,
   mo.stop = &stop;
   mo.guard_period = options.guard_period;
   bool crashed = false;
-  MatchResult r = RunBodyIsolated(variant, split, mo, &crashed);
+  MatchResult r = RunBodyIsolated(variant, mo, &crashed);
   if (crashed) s.crashes.fetch_add(1, std::memory_order_relaxed);
   s.out.workers[i].result = r;
   if (r.complete) {
@@ -176,7 +157,7 @@ RaceResult RaceOnCaller(std::span<const RaceVariant> variants,
                         const RaceOptions& options) {
   RaceShared s(variants);
   StopToken stop;
-  RunVariant(variants[0], 0, VariantSplit(variants, options, 0), options,
+  RunVariant(variants[0], 0, options,
              VariantDeadline(options, 0, SharedDeadline(options)), stop, s);
   return FinishRace(s);
 }
@@ -190,10 +171,8 @@ RaceResult RaceThreads(std::span<const RaceVariant> variants,
   threads.reserve(variants.size());
   for (size_t i = 0; i < variants.size(); ++i) {
     const Deadline vd = VariantDeadline(options, i, deadline);
-    const uint32_t split = VariantSplit(variants, options, i);
-    threads.emplace_back([&, i, vd, split] {
-      RunVariant(variants[i], i, split, options, vd, stop, s);
-    });
+    threads.emplace_back(
+        [&, i, vd] { RunVariant(variants[i], i, options, vd, stop, s); });
   }
   for (auto& t : threads) t.join();
   return FinishRace(s);
@@ -216,10 +195,9 @@ RaceResult RacePool(std::span<const RaceVariant> variants,
       // the per-task EDF deadline makes a staged plan's probe overtake
       // queued full-budget work instead of sorting by the race cap.
       const Deadline vd = VariantDeadline(options, i, group.deadline());
-      const uint32_t split = VariantSplit(variants, options, i);
       const Admission admission =
           group.Spawn(
-              [&, i, vd, split](TaskStart start) {
+              [&, i, vd](TaskStart start) {
                 if (start != TaskStart::kRun) {
                   // Fast-cancel (the winner finished while this variant
                   // was still queued) or shed from a full queue; either
@@ -230,11 +208,7 @@ RaceResult RacePool(std::span<const RaceVariant> variants,
                   s.out.workers[i].result.cancelled = true;
                   return;
                 }
-                // A split variant fans its range tasks into the same
-                // pool from inside this task; the helping Wait() keeps
-                // the nesting deadlock-free.
-                RunVariant(variants[i], i, split, options, vd, group.token(),
-                           s);
+                RunVariant(variants[i], i, options, vd, group.token(), s);
               },
               vd);
       if (admission == Admission::kRejected) {
@@ -287,8 +261,7 @@ RaceResult RaceSequential(std::span<const RaceVariant> variants,
     }
     mo.guard_period = options.guard_period;
     bool crashed = false;
-    MatchResult r = RunBodyIsolated(
-        variants[i], VariantSplit(variants, options, i), mo, &crashed);
+    MatchResult r = RunBodyIsolated(variants[i], mo, &crashed);
     if (crashed) ++out.variant_crashes;
     out.workers[i].name = variants[i].name;
     out.workers[i].result = r;

@@ -50,13 +50,8 @@ namespace psi {
 struct RaceVariant {
   std::string name;
   std::function<MatchResult(const MatchOptions&)> run;
-  /// Optional split-enumeration entry point (match/parallel.hpp): run the
-  /// same search with its root frontier split across `workers` executor
-  /// tasks. Used when RaceOptions::variant_splits requests a width > 1
-  /// for this variant; a variant without one falls back to `run`. The
-  /// answer stream must be identical either way (MatchParallel's
-  /// contract), so a split only changes wall-clock, never race outcomes'
-  /// correctness.
+  /// Never called. Kept only because psibench/src/harness.cpp still
+  /// assigns it; it goes when that harness stops naming it.
   std::function<MatchResult(const MatchOptions&, uint32_t workers)>
       run_split = nullptr;
 };
@@ -94,12 +89,6 @@ struct RaceOptions {
   /// entries inherit `budget`. In kPool mode a variant with its own
   /// budget also queues under that deadline (per-task EDF priority).
   std::vector<std::chrono::nanoseconds> variant_budgets;
-  /// Optional per-variant split widths, indexed like `variants`; entry
-  /// i > 1 runs variant i through its `run_split` hook with that many
-  /// workers (EscalationPolicy::kSplit plans use this to throw the pool
-  /// at the predicted winner instead of widening the race). Missing / 0 /
-  /// 1 entries — or variants without a run_split — run serially.
-  std::vector<uint32_t> variant_splits;
   /// Embedding cap forwarded to every variant (1 = decision problem,
   /// 1000 = the paper's NFV matching cap).
   uint64_t max_embeddings = 1;

@@ -37,8 +37,7 @@ class QsiSearch : public BacktrackSearch<QsiSearch> {
   // index. With the candidate index, a child enumerates only the parent
   // image's correctly-labelled slice — the label check in Feasible would
   // have rejected the rest one by one — in the slice's (degree, id)
-  // order; without it, plain ascending id. Later roots of a disconnected
-  // forest enumerate fully: only depth 0 is split.
+  // order; without it, plain ascending id.
   std::span<const VertexId> Source(uint32_t depth, VertexId u) {
     const QsiEntry& e = seq_[depth];
     via_[depth] = {};
@@ -243,7 +242,7 @@ MatchResult QuickSiMatcher::Match(const Graph& query,
   const auto seq = CompileSequence(query);
   MatchResult r =
       QsiSearch(query, *data_, seq, opts, candidate_index()).Run();
-  NoteMatch(opts, r.stats);
+  NoteMatch(r.stats);
   return r;
 }
 

@@ -386,7 +386,7 @@ MatchResult SPathMatcher::Match(const Graph& query,
   MatchResult r = SpaSearch(query, *data_, ns_, options_, opts, *this,
                             candidate_index(), *scratch)
                       .Run();
-  NoteMatch(opts, r.stats);
+  NoteMatch(r.stats);
   return r;
 }
 

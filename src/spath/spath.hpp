@@ -60,8 +60,6 @@ class SPathMatcher : public Matcher {
   MatchResult Match(const Graph& query,
                     const MatchOptions& opts) const override;
   const Graph* data() const override { return data_; }
-  /// Honours MatchOptions root ranges (match/parallel.hpp splits here).
-  bool SupportsRootSplit() const override { return true; }
 
   /// Exposed for tests: the signature of data vertex `v` (sorted by label).
   const std::vector<NsEntry>& signature(VertexId v) const {

@@ -140,7 +140,7 @@ Status Vf2Matcher::Prepare(const Graph& data) {
 MatchResult Vf2Matcher::Match(const Graph& query,
                               const MatchOptions& opts) const {
   MatchResult r = Vf2Match(query, *data_, opts, candidate_index());
-  NoteMatch(opts, r.stats);
+  NoteMatch(r.stats);
   return r;
 }
 

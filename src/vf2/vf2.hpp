@@ -41,8 +41,6 @@ class Vf2Matcher : public Matcher {
   MatchResult Match(const Graph& query,
                     const MatchOptions& opts) const override;
   const Graph* data() const override { return data_; }
-  /// Honours MatchOptions root ranges (match/parallel.hpp splits here).
-  bool SupportsRootSplit() const override { return true; }
 
  private:
   const Graph* data_ = nullptr;

@@ -183,41 +183,20 @@ std::vector<QueryRecord> RunWorkloadPsiParallel(
     const LabelStats& stats, const RunnerOptions& options, RaceMode mode,
     Executor* executor, QueryPlanner* planner, RewriteCache* rewrite_cache) {
   Executor& exec = executor != nullptr ? *executor : Executor::Shared();
+  // The caller and its helpers take queries from one cursor; each record
+  // goes to its query's slot, so the output is in workload order whoever
+  // ran the query, under any queue capacity.
   std::vector<QueryRecord> out(workload.size());
-  // Queries a bounded pool refused (rejected at Spawn or shed while
-  // queued); they re-run inline below so every record is always present.
-  std::vector<uint8_t> displaced(workload.size(), 0);
-  {
-    TaskGroup group(exec);
-    for (size_t i = 0; i < workload.size(); ++i) {
-      const Admission admission =
-          group.Spawn([&, i](TaskStart start) {
-            if (start != TaskStart::kRun) {
-              // kShed, or kCancelled at group teardown: either way the
-              // query never ran here, so mark it displaced — the inline
-              // pass below always produces its record. (Visible to the
-              // waiter by Wait().)
-              displaced[i] = 1;
-              return;
-            }
-            out[i] = RunOnePsi(portfolio, workload[i].graph, stats, options,
-                               mode, &exec, planner, rewrite_cache);
-          });
-      if (admission == Admission::kRejected) displaced[i] = 1;
-    }
-    group.Wait();
-  }
-  // Backpressure path: displaced queries run on the caller thread, which
-  // also throttles a flooding client to the pool's actual capacity. This
-  // is the recovery step, so injection is suppressed on this thread —
-  // displaced work converges instead of being re-displaced forever.
-  FaultSuppressionScope suppress_recovery;
-  for (size_t i = 0; i < workload.size(); ++i) {
-    if (displaced[i] != 0) {
-      out[i] = RunOnePsi(portfolio, workload[i].graph, stats, options, mode,
-                         &exec, planner, rewrite_cache);
-    }
-  }
+  DrainIndices(exec, workload.size(),
+               std::min(exec.num_threads(),
+                        workload.empty() ? size_t{0} : workload.size() - 1),
+               [&] {
+                 return [&](size_t i) {
+                   out[i] = RunOnePsi(portfolio, workload[i].graph, stats,
+                                      options, mode, &exec, planner,
+                                      rewrite_cache);
+                 };
+               });
   return out;
 }
 

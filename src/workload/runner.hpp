@@ -81,19 +81,21 @@ std::vector<QueryRecord> RunWorkloadPsi(const Portfolio& portfolio,
                                         QueryPlanner* planner = nullptr,
                                         RewriteCache* rewrite_cache = nullptr);
 
-/// Pipelines the whole workload through the persistent pool: queries run
-/// as parallel tasks, and (with mode == kPool) each query's race shares
-/// the same pool — the helping TaskGroup::Wait makes the nesting safe.
-/// Records land in workload order, and each record still measures its own
-/// race. On a bounded pool (Executor queue capacity), queries whose spawn
-/// is rejected run inline on the calling thread — backpressure that keeps
-/// every record present and correct, trading submission parallelism.
-/// Caveat: a race's budget runs from the moment its query task
-/// starts, and on a saturated pool its variants contend with other
-/// queries for workers — so queries near the cap can be recorded killed
-/// here that the serial runner completes. That is inherent to capped
-/// racing under load (oversubscribed kThreads behaves the same way);
-/// give the cap headroom when comparing against serial records.
+/// RunWorkloadPsi with queries spread over the calling thread and at
+/// most pool-width helper tasks on `executor` (nullptr = the shared
+/// pool), which take queries from one cursor (DrainIndices,
+/// exec/executor.hpp). With mode == kPool each query's race shares the
+/// same pool. Records land in workload order, and each record still
+/// measures its own race. A helper the bounded pool rejects or sheds
+/// leaves its queries to the caller, so every record is present under
+/// any queue capacity, including capacity 0. A one-query call spawns no
+/// helper.
+/// Caveat: a race's budget runs from the moment its query starts, and on
+/// a saturated pool its variants contend with other queries for workers
+/// — so queries near the cap can be recorded killed here that the serial
+/// runner completes. That is inherent to capped racing under load
+/// (oversubscribed kThreads behaves the same way); give the cap headroom
+/// when comparing against serial records.
 ///
 /// Thread-safety: safe to call from several threads at once when they
 /// use distinct record vectors (they always do — each call owns its

@@ -114,9 +114,6 @@ TEST(EnvClampTest, KnobsClampInsteadOfAcceptingNonsense) {
   setenv("PSI_POOL_QUEUE_CAP", "-7", 1);
   EXPECT_EQ(PoolQueueCap(), 0);
   unsetenv("PSI_POOL_QUEUE_CAP");
-  setenv("PSI_MATCH_SPLIT", "-2", 1);
-  EXPECT_EQ(MatchSplit(), 0);  // 0 = off, the documented <= 0 meaning
-  unsetenv("PSI_MATCH_SPLIT");
   (void)testing::internal::GetCapturedStderr();  // drain the warnings
 }
 

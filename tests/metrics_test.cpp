@@ -92,9 +92,8 @@ TEST(PercentileTest, NonIntegerRankInterpolation) {
 
 TEST(PercentileTest, TailSeparatesStragglersFromTheMedian) {
   // 95 fast queries and five stragglers: p50 ignores the stragglers,
-  // the tail surfaces them — the view bench_match_parallel records per
-  // width. (p99 interpolates between closest ranks, so with stragglers
-  // in the top 5% it lands well above the fast plateau.)
+  // the tail surfaces them. (p99 interpolates between closest ranks, so
+  // with stragglers in the top 5% it lands well above the fast plateau.)
   std::vector<double> lat(95, 1.0);
   for (int i = 0; i < 5; ++i) lat.push_back(500.0);
   EXPECT_DOUBLE_EQ(Percentile(lat, 50.0), 1.0);

@@ -4,13 +4,7 @@
 //  * 100-seed differential harness (PSI_TEST_SEEDS): for every matcher
 //    (VF2, QuickSI, GraphQL, sPath) under the candidate index, the
 //    embedding *stream* must be byte-identical with multiway off (the
-//    enumerate-then-check path) and on — serially and under the root
-//    split.
-//  * Counter exactness: serial vs. split with multiway on report exactly
-//    equal MatchStats, the multiway counters included.
-//  * Degraded pools: a capacity-0 reject-all pool and a shedding pool
-//    (every range re-runs inline / displaced) stay byte-identical and
-//    counter-exact with multiway on.
+//    enumerate-then-check path) and on.
 //  * Without an index the multiway request is ignored (the kernel needs
 //    label slices); streams match the legacy path bit for bit.
 //  * The counters surface through MatchKernelStats -> PoolGauges and
@@ -26,13 +20,11 @@
 #include <vector>
 
 #include "core/env.hpp"
-#include "exec/executor.hpp"
 #include "gen/dataset_gen.hpp"
 #include "gen/query_gen.hpp"
 #include "graphql/graphql.hpp"
 #include "match/candidate_index.hpp"
 #include "match/intersect.hpp"
-#include "match/parallel.hpp"
 #include "metrics/metrics.hpp"
 #include "quicksi/quicksi.hpp"
 #include "spath/spath.hpp"
@@ -87,24 +79,6 @@ Capture Serial(const Matcher& m, const Graph& q, bool multiway) {
   return r;
 }
 
-Capture Split(const Matcher& m, const Graph& q, bool multiway, size_t width,
-              Executor* exec) {
-  Capture r;
-  MatchOptions mo;
-  mo.max_embeddings = 1u << 30;
-  mo.multiway = multiway;
-  mo.sink = [&](const Embedding& e) {
-    r.stream.push_back(e);
-    return true;
-  };
-  ParallelMatchOptions po;
-  po.split = width;
-  po.min_slice = 1;
-  po.executor = exec;
-  r.result = MatchParallel(m, q, mo, po);
-  return r;
-}
-
 void ExpectSameStream(const Capture& got, const Capture& want,
                       const char* tag) {
   ASSERT_EQ(got.stream, want.stream) << tag << ": embedding stream diverged";
@@ -113,7 +87,7 @@ void ExpectSameStream(const Capture& got, const Capture& want,
 }
 
 // Full counter equality, the multiway triple included — for comparing two
-// runs of the *same* kernel configuration (serial vs. split).
+// runs that must do the same work.
 void ExpectSameStats(const MatchStats& a, const MatchStats& b,
                      const char* tag) {
   EXPECT_EQ(a.recursion_nodes, b.recursion_nodes) << tag;
@@ -125,17 +99,15 @@ void ExpectSameStats(const MatchStats& a, const MatchStats& b,
   EXPECT_EQ(a.intersection_shortcuts, b.intersection_shortcuts) << tag;
 }
 
-// ---- Differential: multiway on/off, serial + split ----
+// ---- Differential: multiway on/off ----
 
 TEST(MultiwayDifferentialTest, StreamsIdenticalAcrossModesAndMatchers) {
-  Executor pool(/*num_threads=*/4);
   const int seeds = NumSeeds();
   uint64_t total_intersections = 0;
   for (int seed = 1; seed <= seeds; ++seed) {
     const Graph g = MakeDataGraph(static_cast<uint64_t>(seed));
     const auto queries = MakeQueries(g, static_cast<uint64_t>(seed));
     const int which = seed % 4;
-    const size_t width = (seed % 2) == 0 ? 2 : 4;
     auto m = MakeMatcher(which);
     m->set_candidate_index(CandidateIndex::Build(g));
     ASSERT_TRUE(m->Prepare(g).ok());
@@ -144,65 +116,11 @@ TEST(MultiwayDifferentialTest, StreamsIdenticalAcrossModesAndMatchers) {
       const Capture on = Serial(*m, q.graph, /*multiway=*/true);
       ExpectSameStream(on, legacy, m->name().data());
       total_intersections += on.result.stats.multiway_intersections;
-      // Root split, multiway on: still the legacy stream, and exactly the
-      // serial multiway counters.
-      const Capture split = Split(*m, q.graph, /*multiway=*/true, width,
-                                  &pool);
-      ExpectSameStream(split, legacy, m->name().data());
-      ExpectSameStats(split.result.stats, on.result.stats,
-                      m->name().data());
-      // And multiway off under the same split: still the legacy stream.
-      const Capture split_off = Split(*m, q.graph, /*multiway=*/false,
-                                      width, &pool);
-      ExpectSameStream(split_off, legacy, m->name().data());
     }
   }
   // The harness would be vacuous if the kernel never engaged: generated
   // queries of size 4..7 reach >= 2 matched backward neighbours often.
   EXPECT_GT(total_intersections, 0u);
-}
-
-// ---- Degraded pools (displaced/inline ranges) ----
-
-TEST(MultiwayTest, CapacityZeroRejectPoolStaysExact) {
-  ExecutorOptions eo;
-  eo.num_threads = 2;
-  eo.queue_capacity = 0;
-  eo.overload_policy = OverloadPolicy::kRejectNew;
-  Executor pool(eo);
-  const Graph g = MakeDataGraph(7);
-  const auto queries = MakeQueries(g, 7);
-  ASSERT_FALSE(queries.empty());
-  Vf2Matcher m;
-  m.set_candidate_index(CandidateIndex::Build(g));
-  ASSERT_TRUE(m.Prepare(g).ok());
-  for (const auto& q : queries) {
-    const Capture serial = Serial(m, q.graph, /*multiway=*/true);
-    const Capture on = Split(m, q.graph, /*multiway=*/true, 4, &pool);
-    ExpectSameStream(on, serial, "capacity0+multiway");
-    ExpectSameStats(on.result.stats, serial.result.stats,
-                    "capacity0+multiway");
-  }
-}
-
-TEST(MultiwayTest, SheddingPoolStaysExact) {
-  ExecutorOptions eo;
-  eo.num_threads = 1;
-  eo.queue_capacity = 1;
-  eo.overload_policy = OverloadPolicy::kShedLatestDeadline;
-  Executor pool(eo);
-  const Graph g = MakeDataGraph(8);
-  const auto queries = MakeQueries(g, 8);
-  ASSERT_FALSE(queries.empty());
-  GraphQlMatcher m;
-  m.set_candidate_index(CandidateIndex::Build(g));
-  ASSERT_TRUE(m.Prepare(g).ok());
-  for (const auto& q : queries) {
-    const Capture serial = Serial(m, q.graph, /*multiway=*/true);
-    const Capture on = Split(m, q.graph, /*multiway=*/true, 8, &pool);
-    ExpectSameStream(on, serial, "shed+multiway");
-    ExpectSameStats(on.result.stats, serial.result.stats, "shed+multiway");
-  }
 }
 
 // ---- No index: the request is a no-op ----
@@ -331,7 +249,7 @@ TEST(MultiwayTest, ClosedFormMotifCounts) {
       {"grid C4", grid, 0, c4, 8 * 9 * 9},
       {"grid triangle", grid, 0, triangle, 0},
   };
-  // Explicit options, so the hub split depends on no environment knob.
+  // Explicit options, so the hub counts above pin the threshold.
   CandidateIndexOptions io;
   io.bitset_degree_threshold = 64;
   io.bitset_memory_budget_bytes = 64 << 20;

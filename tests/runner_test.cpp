@@ -152,6 +152,28 @@ TEST(RunnerTest, ParallelPsiWorkloadMatchesSerial) {
   }
 }
 
+TEST(RunnerTest, ParallelNfvRunnerSpawnsAtMostPoolWidthHelpers) {
+  // kSequential races submit nothing, so every pool task is one of the
+  // runner's own: at most one helper per worker, not one per query.
+  const Graph g = gen::YeastLike(6, 70);
+  const LabelStats stats = LabelStats::FromGraph(g);
+  GraphQlMatcher gql;
+  ASSERT_TRUE(gql.Prepare(g).ok());
+  const auto portfolio = MakeRewritingPortfolio(gql, AllRewritings());
+  auto w = gen::GenerateWorkload(g, 12, 6, 71);
+  ASSERT_TRUE(w.ok());
+  RunnerOptions ro;
+  ro.cap_ms = 10000.0;
+  ro.max_embeddings = 1;
+  Executor exec(2);
+  const uint64_t submitted0 = exec.gauges().tasks_submitted;
+  const auto records = RunWorkloadPsiParallel(portfolio, *w, stats, ro,
+                                              RaceMode::kSequential, &exec);
+  EXPECT_LE(exec.gauges().tasks_submitted - submitted0, 2u);
+  ASSERT_EQ(records.size(), w->size());
+  for (const auto& r : records) EXPECT_EQ(r.status, Status::Code::kOk);
+}
+
 TEST(RunnerTest, ParallelFtvPsiMatchesSerialPairs) {
   gen::GraphGenLikeOptions o;
   o.num_graphs = 5;
